@@ -36,8 +36,7 @@ class UsageError(Exception):
 
 
 _DEFAULTS: dict[str, dict] = {
-    "ingest": {"mode": "standard", "workers": 1, "ordered": False,
-               "stats": None, "anchor_stats": None},
+    "ingest": {"mode": "standard", "workers": 1, "stats": None, "anchor_stats": None},
     "train": {"dim": 300, "window": 10, "negative": 5, "epochs": 5, "min_count": 5,
               "lr": 0.025, "subsample": 1e-5, "seed": 1, "workers": 1, "init": None},
     "similar": {"k": 10},
@@ -64,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["standard", "heuristic", "anchors-only"], default=S)
     p.add_argument("--workers", type=int, default=S)
-    p.add_argument("--ordered", action="store_true", default=S,
-                   help="force document order (requires a single worker)")
     p.add_argument("--stats", default=S, help="stats JSON path (default <out>.stats.json)")
     p.add_argument("--anchor-stats", dest="anchor_stats", default=S,
                    help="write aggregated anchor statistics TSV here")
@@ -164,8 +161,6 @@ def _print_reports(name: str, reports: Sequence[AnalogyReport]) -> None:
 
 def _cmd_ingest(options: dict) -> int:
     workers = int(options["workers"])
-    if options["ordered"] and workers != 1:
-        raise UsageError("--ordered requires --workers 1")
     mode = str(options["mode"]).replace("-", "_")
     out = Path(options["out"])
     stats_path = Path(options["stats"]) if options["stats"] else Path(str(out) + ".stats.json")

@@ -1,14 +1,7 @@
 """Turn MediaWiki XML export files into concept-annotated training corpora."""
 
 from wikivec.ingest.anchors import AnchorSpan, apply_title_heuristic, extract_anchors
-from wikivec.ingest.corpus import (
-    ConceptToken,
-    CorpusLine,
-    IngestStats,
-    WordToken,
-    build_corpus,
-    render_line,
-)
+from wikivec.ingest.corpus import IngestStats, build_corpus, render_line, resolve_targets
 from wikivec.ingest.dump import (
     DumpParseError,
     PageRecord,
@@ -21,8 +14,6 @@ from wikivec.ingest.redirects import RedirectMap, build_redirect_map
 
 __all__ = [
     "AnchorSpan",
-    "ConceptToken",
-    "CorpusLine",
     "DumpParseError",
     "IngestStats",
     "PRUNE_RULES",
@@ -30,7 +21,6 @@ __all__ = [
     "PruneDecision",
     "RedirectMap",
     "TruncatedDumpError",
-    "WordToken",
     "apply_title_heuristic",
     "build_corpus",
     "build_redirect_map",
@@ -38,5 +28,6 @@ __all__ = [
     "open_dump",
     "prune_page",
     "render_line",
+    "resolve_targets",
     "stream_pages",
 ]

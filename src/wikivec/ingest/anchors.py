@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 
 from wikivec.ingest.dump import PageRecord
+from wikivec.ingest.textify import matching_close
 
 log = logging.getLogger(__name__)
 
@@ -32,26 +33,6 @@ class AnchorSpan:
     provenance: str = EXPLICIT
 
 
-def _matching_close(text: str, open_pos: int) -> int:
-    """Index just past the ']]' matching the '[[' at ``open_pos``; -1 if unbalanced."""
-    depth = 0
-    i = open_pos
-    n = len(text)
-    while i < n - 1:
-        pair = text[i:i + 2]
-        if pair == "[[":
-            depth += 1
-            i += 2
-        elif pair == "]]":
-            depth -= 1
-            i += 2
-            if depth == 0:
-                return i
-        else:
-            i += 1
-    return -1
-
-
 def extract_anchors(wikitext: str) -> list[AnchorSpan]:
     """Parse ``[[Target]]`` / ``[[Target|surface]]`` links into anchor spans.
 
@@ -65,7 +46,7 @@ def extract_anchors(wikitext: str) -> list[AnchorSpan]:
         start = wikitext.find("[[", pos)
         if start < 0:
             break
-        end = _matching_close(wikitext, start)
+        end = matching_close(wikitext, start, "[[", "]]")
         if end < 0:
             log.debug("unbalanced '[[' at offset %d; skipping", start)
             pos = start + 2

@@ -11,9 +11,10 @@ import json
 import logging
 import multiprocessing
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from wikivec.ingest.anchors import EXPLICIT, AnchorSpan, apply_title_heuristic, extract_anchors
 from wikivec.ingest.dump import PageRecord, open_dump, stream_pages
@@ -27,39 +28,11 @@ MODES = ("standard", "heuristic", "anchors_only")
 CONCEPT_PREFIX = "wiki_"
 
 
-@dataclass(frozen=True, slots=True)
-class WordToken:
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class ConceptToken:
-    page_id: int
-
-
-Token = WordToken | ConceptToken
-
-
-def token_text(token: Token) -> str:
-    if isinstance(token, ConceptToken):
-        return f"{CONCEPT_PREFIX}{token.page_id}"
-    return token.text
-
-
 def parse_concept(token: str) -> int | None:
     """page_id for a ``wiki_<id>`` token, else None."""
     if token.startswith(CONCEPT_PREFIX) and token[len(CONCEPT_PREFIX):].isdigit():
         return int(token[len(CONCEPT_PREFIX):])
     return None
-
-
-@dataclass(slots=True)
-class CorpusLine:
-    page_id: int
-    tokens: list[Token]
-
-    def text(self) -> str:
-        return " ".join(token_text(t) for t in self.tokens)
 
 
 @dataclass(slots=True)
@@ -79,35 +52,42 @@ def _normalize_surface(surface: str) -> str:
     return " ".join(surface.split()).lower()
 
 
-def render_line(page: PageRecord, anchors: list[AnchorSpan], redirects: RedirectMap,
-                kept: frozenset[int] | set[int], mode: str) -> CorpusLine:
+def resolve_targets(anchors: list[AnchorSpan], redirects: RedirectMap,
+                    kept: frozenset[int] | set[int]) -> list[int | None]:
+    """Per anchor, the kept page id its target resolves to through redirects, else None."""
+    resolved = (redirects.resolve(anchor.target_title) for anchor in anchors)
+    return [target_id if target_id in kept else None for target_id in resolved]
+
+
+def render_line(page: PageRecord, anchors: list[AnchorSpan], targets: list[int | None],
+                mode: str) -> list[str]:
     """Flatten one page into corpus tokens.
 
-    Anchors resolving (through redirects) to a kept page become one
-    ConceptToken; any other anchor contributes its surface words, except in
-    anchors_only mode, where non-concept material is dropped entirely.  The
-    caller decides which anchors exist; heuristic augmentation happens before
-    this call.
+    ``targets`` pairs each anchor with its resolved kept page id (see
+    :func:`resolve_targets`).  An anchor with a target becomes one
+    ``wiki_<id>`` token; any other anchor contributes its surface words,
+    except in anchors_only mode, where non-concept material is dropped
+    entirely.  The caller decides which anchors exist; heuristic augmentation
+    happens before this call.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     masked = mask_markup(page.wikitext)
-    ordered = sorted(anchors, key=lambda a: a.start)
-    tokens: list[Token] = []
+    tokens: list[str] = []
     words_wanted = mode != "anchors_only"
     pos = 0
-    for anchor in ordered:
+    for anchor, target_id in sorted(zip(anchors, targets, strict=True),
+                                    key=lambda pair: pair[0].start):
         if words_wanted and anchor.start > pos:
-            tokens.extend(WordToken(t) for t in tokenize(masked[pos:anchor.start]))
-        target_id = redirects.resolve(anchor.target_title)
-        if target_id is not None and target_id in kept:
-            tokens.append(ConceptToken(target_id))
+            tokens += tokenize(masked[pos:anchor.start])
+        if target_id is not None:
+            tokens.append(f"{CONCEPT_PREFIX}{target_id}")
         elif words_wanted:
-            tokens.extend(WordToken(t) for t in tokenize(anchor.surface_text))
+            tokens += tokenize(anchor.surface_text)
         pos = max(pos, anchor.end)
     if words_wanted and pos < len(masked):
-        tokens.extend(WordToken(t) for t in tokenize(masked[pos:]))
-    return CorpusLine(page.page_id, tokens)
+        tokens += tokenize(masked[pos:])
+    return tokens
 
 
 def scan_dump(dump_path: Path) -> tuple[RedirectMap, frozenset[int], int, int]:
@@ -133,22 +113,17 @@ def _render_page(page: PageRecord, redirects: RedirectMap, kept: frozenset[int],
     """Render one kept page; returns (line, token count, explicit, heuristic, anchor stats)."""
     anchors = extract_anchors(page.wikitext)
     explicit = len(anchors)
-    heuristic = 0
     if mode == "heuristic":
-        augmented = apply_title_heuristic(page, anchors)
-        heuristic = len(augmented) - explicit
-        anchors = augmented
-    line = render_line(page, anchors, redirects, kept, mode)
+        anchors = apply_title_heuristic(page, anchors)
+    targets = resolve_targets(anchors, redirects, kept)
+    tokens = render_line(page, anchors, targets, mode)
     stats_pairs = []
-    for anchor in anchors:
-        if anchor.provenance != EXPLICIT:
-            continue
-        target_id = redirects.resolve(anchor.target_title)
-        if target_id is not None and target_id in kept:
+    for anchor, target_id in zip(anchors, targets):
+        if anchor.provenance == EXPLICIT and target_id is not None:
             surface = _normalize_surface(anchor.surface_text)
             if surface:
                 stats_pairs.append((surface, target_id))
-    return line.text(), len(line.tokens), explicit, heuristic, stats_pairs
+    return " ".join(tokens), len(tokens), explicit, len(anchors) - explicit, stats_pairs
 
 
 # Parallel rendering state, installed in the parent right before fork.
@@ -195,30 +170,22 @@ def build_corpus(dump_path: str | Path, out_path: str | Path, mode: str = "stand
         log.warning("fork start method unavailable; rendering with one worker")
         workers = 1
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as out:
-        if workers <= 1:
-            results = (_render_page(page, redirects, kept, mode)
-                       for page in iter_kept_pages(dump_path, kept))
-            for line, n_tokens, explicit, heuristic, pairs in results:
-                out.write(line + "\n")
-                stats.tokens_emitted += n_tokens
-                stats.anchors_explicit += explicit
-                stats.anchors_heuristic += heuristic
-                anchor_counts.update(pairs)
-        else:
+    with ExitStack() as stack:
+        out = stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
+        pages = iter_kept_pages(dump_path, kept)
+        if workers > 1:
             _POOL_STATE.update(redirects=redirects, kept=kept, mode=mode)
-            ctx = multiprocessing.get_context("fork")
-            try:
-                with ctx.Pool(processes=workers) as pool:
-                    for line, n_tokens, explicit, heuristic, pairs in pool.imap_unordered(
-                            _pool_render, iter_kept_pages(dump_path, kept), chunksize=16):
-                        out.write(line + "\n")
-                        stats.tokens_emitted += n_tokens
-                        stats.anchors_explicit += explicit
-                        stats.anchors_heuristic += heuristic
-                        anchor_counts.update(pairs)
-            finally:
-                _POOL_STATE.clear()
+            stack.callback(_POOL_STATE.clear)
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
+            results = pool.imap_unordered(_pool_render, pages, chunksize=16)
+        else:
+            results = (_render_page(page, redirects, kept, mode) for page in pages)
+        for line, n_tokens, explicit, heuristic, pairs in results:
+            out.write(line + "\n")
+            stats.tokens_emitted += n_tokens
+            stats.anchors_explicit += explicit
+            stats.anchors_heuristic += heuristic
+            anchor_counts.update(pairs)
 
     if anchor_stats_path is not None:
         write_anchor_stats(anchor_counts, anchor_stats_path)

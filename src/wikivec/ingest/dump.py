@@ -71,6 +71,15 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _int_field(child: ET.Element, name: str, byte_offset: int) -> int:
+    text = child.text or "0"
+    try:
+        return int(text)
+    except ValueError:
+        raise DumpParseError(f"page <{name}> is not an integer: {text!r}",
+                             byte_offset) from None
+
+
 def _build_record(elem: ET.Element, byte_offset: int) -> PageRecord:
     page_id: int | None = None
     title: str | None = None
@@ -81,11 +90,11 @@ def _build_record(elem: ET.Element, byte_offset: int) -> PageRecord:
         name = _localname(child.tag)
         if name == "id" and page_id is None:
             # The page-level id; revision ids live deeper and must not win.
-            page_id = int(child.text or "0")
+            page_id = _int_field(child, "id", byte_offset)
         elif name == "title":
             title = child.text or ""
         elif name == "ns":
-            namespace = int(child.text or "0")
+            namespace = _int_field(child, "ns", byte_offset)
         elif name == "redirect":
             redirect = child.get("title") or (child.text or "").strip() or None
         elif name == "revision":

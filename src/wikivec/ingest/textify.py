@@ -27,6 +27,8 @@ _URL = re.compile(r"(?:https?|ftp)://[^\s\[\]<>\"{}|]+", re.IGNORECASE)
 _HTML_TAG = re.compile(r"</?[A-Za-z][^<>\n]*?>")
 _ENTITY = re.compile(r"&(?:[A-Za-z][A-Za-z0-9]*|#[0-9]+|#x[0-9A-Fa-f]+);")
 _MAGIC_WORD = re.compile(r"__[A-Z]+__")
+_TEMPLATE_OPEN = re.compile(r"\{\{")
+_TABLE_OPEN = re.compile(r"\{\|")
 _FILE_OPEN = re.compile(r"\[\[\s*(?:File|Image)\s*:", re.IGNORECASE)
 
 
@@ -34,78 +36,51 @@ def _spaces(match: re.Match[str]) -> str:
     return " " * len(match.group(0))
 
 
-def _mask_nested(text: str, open_mark: str, close_mark: str) -> str:
-    """Blank balanced ``open_mark``...``close_mark`` regions, nesting-aware.
+def matching_close(text: str, start: int, open_mark: str, close_mark: str) -> int:
+    """Index just past the ``close_mark`` balancing the ``open_mark`` at ``start``.
+
+    Nesting-aware; returns -1 when the opener is never closed.  Jumps from
+    marker to marker with ``str.find``, which needs that no opener can start
+    inside a closer (true of ``[[``/``]]``, ``{{``/``}}`` and ``{|``/``|}``).
+    """
+    depth = 0
+    pos = start
+    next_open = text.find(open_mark, pos)
+    while True:
+        close = text.find(close_mark, pos)
+        if close < 0:
+            return -1
+        if 0 <= next_open <= close:
+            depth += 1
+            pos = next_open + len(open_mark)
+            next_open = text.find(open_mark, pos)
+            continue
+        depth -= 1
+        pos = close + len(close_mark)
+        if depth == 0:
+            return pos
+
+
+def _mask_balanced(text: str, opener: re.Pattern[str], open_mark: str,
+                   close_mark: str) -> str:
+    """Blank each balanced region that ``opener`` starts, up to its matching close.
 
     Unbalanced openers are left in place (their braces die in the tokenizer
     anyway); this keeps a stray marker from eating the rest of the page.
     """
     out: list[str] = []
     pos = 0
-    width = len(open_mark)
-    while True:
-        start = text.find(open_mark, pos)
-        if start < 0:
-            out.append(text[pos:])
-            break
-        depth = 1
-        i = start + width
-        end = -1
-        while i < len(text):
-            if text.startswith(open_mark, i):
-                depth += 1
-                i += width
-            elif text.startswith(close_mark, i):
-                depth -= 1
-                i += len(close_mark)
-                if depth == 0:
-                    end = i
-                    break
-            else:
-                i += 1
-        if end < 0:
-            out.append(text[pos:start + width])
-            pos = start + width
-            continue
-        out.append(text[pos:start])
-        out.append(" " * (end - start))
-        pos = end
-    return "".join(out)
-
-
-def _mask_file_links(text: str) -> str:
-    """Blank whole [[File:...]] / [[Image:...]] constructs, nested brackets included."""
-    out: list[str] = []
-    pos = 0
-    while True:
-        match = _FILE_OPEN.search(text, pos)
-        if match is None:
-            out.append(text[pos:])
-            break
+    while match := opener.search(text, pos):
         start = match.start()
-        depth = 0
-        i = start
-        end = -1
-        while i < len(text) - 1:
-            pair = text[i:i + 2]
-            if pair == "[[":
-                depth += 1
-                i += 2
-            elif pair == "]]":
-                depth -= 1
-                i += 2
-                if depth == 0:
-                    end = i
-                    break
-            else:
-                i += 1
+        end = matching_close(text, start, open_mark, close_mark)
         if end < 0:
-            out.append(text[pos:start + 2])
-            pos = start + 2
+            out.append(text[pos:start + len(open_mark)])
+            pos = start + len(open_mark)
             continue
         out.append(text[pos:start])
         out.append(" " * (end - start))
         pos = end
+    out.append(text[pos:])
     return "".join(out)
 
 
@@ -113,9 +88,9 @@ def mask_markup(text: str) -> str:
     """Return an equal-length copy of ``text`` with non-content markup blanked."""
     text = _COMMENT.sub(_spaces, text)
     text = _SKIP_TAG.sub(_spaces, text)
-    text = _mask_nested(text, "{{", "}}")
-    text = _mask_nested(text, "{|", "|}")
-    text = _mask_file_links(text)
+    text = _mask_balanced(text, _TEMPLATE_OPEN, "{{", "}}")
+    text = _mask_balanced(text, _TABLE_OPEN, "{|", "|}")
+    text = _mask_balanced(text, _FILE_OPEN, "[[", "]]")
     text = _URL.sub(_spaces, text)
     text = _HTML_TAG.sub(_spaces, text)
     text = _ENTITY.sub(_spaces, text)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from wikivec.ingest.anchors import extract_anchors
-from wikivec.ingest.corpus import iter_kept_pages, scan_dump
+from wikivec.ingest.corpus import iter_kept_pages, resolve_targets, scan_dump
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +73,9 @@ def build_link_graph(dump_path: str | Path) -> LinkGraph:
     redirects, kept, _, _ = scan_dump(dump_path)
     out_links: dict[int, set[int]] = {}
     for page in iter_kept_pages(dump_path, kept):
-        targets = out_links.setdefault(page.page_id, set())
-        for anchor in extract_anchors(page.wikitext):
-            target_id = redirects.resolve(anchor.target_title)
-            if target_id is not None and target_id in kept and target_id != page.page_id:
-                targets.add(target_id)
+        targets = resolve_targets(extract_anchors(page.wikitext), redirects, kept)
+        # LinkGraph drops the self-links.
+        out_links.setdefault(page.page_id, set()).update(t for t in targets if t is not None)
     graph = LinkGraph(kept, out_links)
     log.info("link graph: %d pages, %d edges", graph.page_count, graph.edge_count)
     return graph

@@ -85,7 +85,9 @@ class VectorSet:
         sub.matrix = self.matrix[:cap]
         sub.frequency_ranked = True
         sub._index = {t: i for i, t in enumerate(sub.tokens)}
-        sub._unit = None if self._unit is None else self._unit[:cap]
+        # Slicing the parent's unit rows equals normalising the slice, so each
+        # set is normalised once however many caps it is cut to.
+        sub._unit = self.unit_matrix()[:cap]
         return sub
 
     def unit_matrix(self) -> np.ndarray:
@@ -198,9 +200,12 @@ def load_text(path: str | Path) -> VectorSet:
             seen.add(token)
             tokens.append(token)
             try:
-                rows.append(np.array([float(v) for v in values], dtype=np.float64))
+                row = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad float: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+            rows.append(row)
     if declared is not None and declared[0] != len(tokens):
         raise ValueError(
             f"{path}: header declares {declared[0]} vectors, file has {len(tokens)}")

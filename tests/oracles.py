@@ -195,3 +195,25 @@ def link_side_score(size_a: int, size_b: int, overlap: int, total: int) -> float
         return 0.0
     score = 1.0 - (math.log(bigger) - math.log(overlap)) / denom
     return min(1.0, max(0.0, score))
+
+
+def matching_close(text: str, start: int, open_mark: str, close_mark: str) -> int:
+    """Index just past the close balancing the open at ``start``; -1 if unbalanced.
+
+    Steps one character at a time; an opener is tried before a closer at the
+    same index.
+    """
+    depth = 0
+    i = start
+    while i < len(text):
+        if text.startswith(open_mark, i):
+            depth += 1
+            i += len(open_mark)
+        elif text.startswith(close_mark, i):
+            depth -= 1
+            i += len(close_mark)
+            if depth == 0:
+                return i
+        else:
+            i += 1
+    return -1

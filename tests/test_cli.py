@@ -55,16 +55,6 @@ def test_ingest_mode_flag_accepts_hyphenated_spelling(tmp_path, capsys):
     assert tokens and all(t.startswith("wiki_") for t in tokens)
 
 
-def test_ingest_ordered_needs_single_worker(tmp_path, capsys):
-    code, _, stderr = run_cli(capsys, "ingest", "--dump", FIXTURE_DUMP,
-                              "--out", tmp_path / "c.txt", "--ordered",
-                              "--workers", "2")
-    assert code == 2
-    err = json.loads(stderr)
-    assert err["error"] == "UsageError"
-    assert "--workers 1" in err["message"]
-
-
 def test_missing_dump_is_a_runtime_error(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "ingest", "--dump", tmp_path / "nope.xml",
                               "--out", tmp_path / "c.txt")

@@ -3,8 +3,7 @@
 import pytest
 
 from wikivec.ingest.anchors import AnchorSpan, apply_title_heuristic, extract_anchors
-from wikivec.ingest.corpus import (ConceptToken, WordToken, build_corpus, parse_concept,
-                                   render_line, token_text)
+from wikivec.ingest.corpus import build_corpus, parse_concept, render_line, resolve_targets
 from wikivec.ingest.dump import PageRecord
 from wikivec.ingest.redirects import RedirectMap
 
@@ -12,14 +11,16 @@ from conftest import (FIXTURE_DUMP, FIXTURE_KEPT_FACTS, GOLDEN_ANCHOR_STATS,
                       GOLDEN_STANDARD)
 
 
-def test_token_text_and_parse_concept():
-    assert token_text(WordToken("river")) == "river"
-    assert token_text(ConceptToken(42)) == "wiki_42"
+def test_parse_concept():
     assert parse_concept("wiki_42") == 42
     assert parse_concept("wiki_") is None
     assert parse_concept("wiki_4x") is None
     assert parse_concept("Wiki_4") is None
     assert parse_concept("river") is None
+
+
+def _render(page, anchors, redirects, kept, mode):
+    return " ".join(render_line(page, anchors, resolve_targets(anchors, redirects, kept), mode))
 
 
 def _simple_setup():
@@ -31,36 +32,35 @@ def _simple_setup():
 
 def test_render_standard_mode():
     page, anchors, redirects = _simple_setup()
-    line = render_line(page, anchors, redirects, kept={1, 2}, mode="standard")
+    line = _render(page, anchors, redirects, kept={1, 2}, mode="standard")
     # Gamma is not kept, so its surface words stay.
-    assert line.text() == "alpha links wiki_2 and gamma here"
-    assert line.page_id == 1
+    assert line == "alpha links wiki_2 and gamma here"
 
 
 def test_render_anchors_only_mode():
     page, anchors, redirects = _simple_setup()
-    line = render_line(page, anchors, redirects, kept={1, 2}, mode="anchors_only")
-    assert line.text() == "wiki_2"
+    line = _render(page, anchors, redirects, kept={1, 2}, mode="anchors_only")
+    assert line == "wiki_2"
 
 
 def test_render_heuristic_mode_replaces_title_mentions():
     page, anchors, redirects = _simple_setup()
     combined = apply_title_heuristic(page, anchors)
-    line = render_line(page, combined, redirects, kept={1, 2}, mode="heuristic")
-    assert line.text() == "wiki_1 links wiki_2 and gamma here"
+    line = _render(page, combined, redirects, kept={1, 2}, mode="heuristic")
+    assert line == "wiki_1 links wiki_2 and gamma here"
 
 
 def test_render_unresolved_anchor_keeps_surface():
     body = "see [[Unknown Target|that thing]] now"
     page = PageRecord(5, "Host", 0, None, body)
-    line = render_line(page, extract_anchors(body), RedirectMap(), kept={5}, mode="standard")
-    assert line.text() == "see that thing now"
+    line = _render(page, extract_anchors(body), RedirectMap(), kept={5}, mode="standard")
+    assert line == "see that thing now"
 
 
 def test_render_rejects_unknown_mode():
     page, anchors, redirects = _simple_setup()
     with pytest.raises(ValueError, match="unknown mode"):
-        render_line(page, anchors, redirects, kept={1}, mode="fancy")
+        _render(page, anchors, redirects, kept={1}, mode="fancy")
 
 
 def test_anchor_inside_masked_region_still_emits():
@@ -68,9 +68,9 @@ def test_anchor_inside_masked_region_still_emits():
     # cannot swallow a linked concept.
     body = "{{Infobox|capital=[[Beta]]}} tail"
     page = PageRecord(1, "Alpha", 0, None, body)
-    line = render_line(page, extract_anchors(body), RedirectMap(mapping={"Beta": 2}),
-                       kept={1, 2}, mode="standard")
-    assert line.text() == "wiki_2 tail"
+    line = _render(page, extract_anchors(body), RedirectMap(mapping={"Beta": 2}),
+                   kept={1, 2}, mode="standard")
+    assert line == "wiki_2 tail"
 
 
 def test_build_corpus_standard_matches_golden(tmp_path):
@@ -131,6 +131,6 @@ def test_render_overlapping_spans_do_not_duplicate_text():
     body = "alpha beta gamma"
     page = PageRecord(1, "T", 0, None, body)
     spans = [AnchorSpan("X", "beta", 6, 10), AnchorSpan("Y", "eta g", 7, 12)]
-    line = render_line(page, spans, RedirectMap(mapping={"X": 2, "Y": 3}),
-                       kept={2, 3}, mode="standard")
-    assert line.text() == "alpha wiki_2 wiki_3 amma"
+    line = _render(page, spans, RedirectMap(mapping={"X": 2, "Y": 3}),
+                   kept={2, 3}, mode="standard")
+    assert line == "alpha wiki_2 wiki_3 amma"

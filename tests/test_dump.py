@@ -89,6 +89,17 @@ def test_page_without_id_is_an_error():
         list(stream_pages(io.BytesIO(xml.encode())))
 
 
+@pytest.mark.parametrize("field, page", [
+    ("id", "<page><title>A</title><ns>0</ns><id>x1</id></page>"),
+    ("ns", "<page><title>A</title><ns>main</ns><id>1</id></page>"),
+])
+def test_non_numeric_page_field_is_a_parse_error(field, page):
+    with pytest.raises(DumpParseError, match=f"<{field}> is not an integer") as err:
+        list(stream_pages(io.BytesIO(_wrap(page).encode())))
+    assert err.value.byte_offset > 0
+    assert "bytes" in str(err.value)
+
+
 def test_redirect_title_may_come_as_element_text():
     xml = _wrap("<page><title>R</title><id>3</id><redirect>Target Page</redirect>"
                 "<revision><text>#REDIRECT [[Target Page]]</text></revision></page>")

@@ -109,6 +109,19 @@ def test_rank_and_top_require_frequency_order():
     assert len(ranked.top(99)) == 5
 
 
+def test_top_shares_the_parent_unit_rows():
+    rng = np.random.default_rng(3)
+    matrix = rng.normal(size=(40, 6))
+    matrix[7] = 0.0
+    vset = VectorSet([f"t{i}" for i in range(40)], matrix, frequency_ranked=True)
+    for cap in (1, 8, 25, 40):
+        alone = VectorSet(vset.tokens[:cap], matrix[:cap]).unit_matrix()
+        sub_unit = vset.top(cap).unit_matrix()
+        assert np.array_equal(sub_unit, alone)
+        # Cut from the parent's rows, not normalised again.
+        assert np.shares_memory(sub_unit, vset.unit_matrix())
+
+
 def test_save_load_round_trip_with_header(tmp_path):
     vset = _basis_set(frequency_ranked=True)
     path = tmp_path / "vecs.txt"
@@ -161,6 +174,12 @@ def test_load_errors_carry_line_numbers(tmp_path):
     badfloat.write_text("a 1 2\nb 1 oops\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: bad float"):
         load_text(badfloat)
+
+    for value in ("nan", "inf", "-Infinity"):
+        nonfinite = tmp_path / "nonfinite.txt"
+        nonfinite.write_text(f"b 1 2\na {value} 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="nonfinite.txt: line 2: non-finite"):
+            load_text(nonfinite)
 
     short = tmp_path / "short.txt"
     short.write_text("3 2\na 1 2\n", encoding="utf-8")
