@@ -133,8 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_options(args: argparse.Namespace, command: str) -> dict:
-    """flag > config file > built-in default."""
+def _option_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Dests of the options of every subcommand below ``parser``."""
+    keys: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                keys |= _option_keys(sub)
+                keys.update(a.dest for a in sub._actions if a.option_strings and a.dest != "help")
+    return keys
+
+
+def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                     command: str) -> dict:
+    """flag > config file > built-in default.
+
+    A config file may set any option of any subcommand, so one file can serve
+    the whole pipeline; a key no subcommand defines is a usage error.
+    """
     options = dict(_DEFAULTS.get(command, {}))
     config_path = getattr(args, "config", None)
     if config_path:
@@ -142,6 +158,10 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise UsageError(f"{config_path}: config must be a JSON object")
+        known = _option_keys(parser).union(*_DEFAULTS.values())
+        unknown = sorted(key for key in loaded if key.replace("-", "_") not in known)
+        if unknown:
+            raise UsageError(f"{config_path}: unknown config key(s): {', '.join(unknown)}")
         for key, value in loaded.items():
             options[key.replace("-", "_")] = value
     for key, value in vars(args).items():
@@ -426,7 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif command == "baseline":
         command = f"baseline {args.baseline_command}"
     try:
-        options = _resolve_options(args, command)
+        options = _resolve_options(parser, args, command)
         return _HANDLERS[command](options)
     except UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)

@@ -6,16 +6,16 @@ trainer applies that update sequentially over every surviving pair, with
 per-occurrence dynamic windows, frequency subsampling, and a linear learning
 rate decay down to lr/10000.
 
-With ``workers > 1`` the corpus is sharded by line across fork-based worker
-processes that update the two matrices in place without locks; racing writes
-are tolerated by design, so results are only reproducible at workers = 1.
+With ``workers > 1`` the corpus is sharded by line across forked workers that
+update the two matrices, in anonymous shared memory, without locks (Hogwild);
+racing writes are tolerated by design, so results are only reproducible at
+workers = 1.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-from multiprocessing import shared_memory
+import mmap
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +24,7 @@ from scipy.special import expit
 
 from wikivec.embedding.model import EmbeddingModel, TrainingConfig
 from wikivec.embedding.sampling import NoiseSampler, noise_distribution
+from wikivec.workers import WorkerError, fork_map
 
 log = logging.getLogger(__name__)
 
@@ -59,17 +60,8 @@ def sgd_step(model: EmbeddingModel, center: int, context: int,
     rows = np.empty(len(negatives) + 1, dtype=np.int64)
     rows[0] = context
     rows[1:] = negatives
-    inp, out = model.input_vectors, model.output_vectors
-    v = inp[center].copy()
-    u_rows = out[rows]
-    scores = u_rows @ v
-    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-    grad = -lr * expit(scores)
-    grad[0] += lr
-    for j in range(rows.size):
-        out[rows[j]] += grad[j] * v
-    inp[center] += u_rows.T @ grad
-    return loss
+    scores = _train_pair(model.input_vectors, model.output_vectors, rows, center, lr)
+    return float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
 
 
 def _keep_probabilities(counts: np.ndarray, subsample_t: float) -> np.ndarray:
@@ -81,39 +73,26 @@ def _keep_probabilities(counts: np.ndarray, subsample_t: float) -> np.ndarray:
     return np.minimum(1.0, np.sqrt(ratio) + ratio)
 
 
-class _Progress:
-    """Occurrence counter driving the lr schedule; lock-free by design."""
-
-    def __init__(self, shared=None) -> None:
-        self._shared = shared
-        self._local = 0
-
-    def add(self, n: int) -> int:
-        if self._shared is None:
-            self._local += n
-            return self._local
-        current = self._shared.value + n
-        self._shared.value = current
-        return current
-
-
 def _train_pair(inp: np.ndarray, out: np.ndarray, rows: np.ndarray,
-                center: int, lr: float) -> None:
-    # Same update as sgd_step, minus the loss bookkeeping the hot loop skips.
+                center: int, lr: float) -> np.ndarray:
+    """sgd_step's update on ``rows`` (context, then negatives); returns the pre-update scores."""
     v = inp[center].copy()
     u_rows = out[rows]
-    grad = -lr * expit(u_rows @ v)
+    scores = u_rows @ v
+    grad = -lr * expit(scores)
     grad[0] += lr
     for j in range(rows.size):
         out[rows[j]] += grad[j] * v
     inp[center] += u_rows.T @ grad
+    return scores
 
 
-def _run_shard(corpus_path: Path, inp: np.ndarray, out: np.ndarray,
-               index: dict[str, int], sampler: NoiseSampler, keep_prob: np.ndarray,
-               config: TrainingConfig, total_scheduled: int, progress: _Progress,
-               worker_id: int, n_workers: int) -> None:
-    """Train on every corpus line with line_no % n_workers == worker_id."""
+def _parallel_worker(corpus_path: Path, inp: np.ndarray, out: np.ndarray,
+                     index: dict[str, int], sampler: NoiseSampler, keep_prob: np.ndarray,
+                     config: TrainingConfig, total_scheduled: int, progress: memoryview,
+                     worker_id: int, n_workers: int) -> None:
+    """Train on every corpus line with line_no % n_workers == worker_id; ``progress[0]``
+    counts occurrences for the lr schedule, across workers and without a lock."""
     rng = np.random.default_rng(config.seed + worker_id)
     lr0 = config.lr_initial
     lr_min = lr0 / LR_FLOOR_DIVISOR
@@ -128,8 +107,8 @@ def _run_shard(corpus_path: Path, inp: np.ndarray, out: np.ndarray,
                 ids = [index[t] for t in line.split() if t in index]
                 if not ids:
                     continue
-                done = progress.add(len(ids))
-                frac = min(1.0, done / total_scheduled)
+                progress[0] += len(ids)
+                frac = min(1.0, progress[0] / total_scheduled)
                 lr = lr0 + (lr_min - lr0) * frac
                 id_arr = np.asarray(ids, dtype=np.int64)
                 if subsampling:
@@ -176,18 +155,7 @@ def _run_shard(corpus_path: Path, inp: np.ndarray, out: np.ndarray,
             if not (np.isfinite(inp).all() and np.isfinite(out).all()):
                 raise TrainingError(f"non-finite vector entries after epoch {epoch + 1}")
             log.info("epoch %d/%d done (lr now %.6f)", epoch + 1, config.epochs, lr0 +
-                     (lr_min - lr0) * min(1.0, progress.add(0) / total_scheduled))
-
-
-# Parallel state is installed right before the fork so workers inherit it.
-_FORK_STATE: dict = {}
-
-
-def _parallel_worker(worker_id: int) -> None:
-    s = _FORK_STATE
-    _run_shard(s["corpus_path"], s["inp"], s["out"], s["index"], s["sampler"],
-               s["keep_prob"], s["config"], s["total_scheduled"], _Progress(s["progress"]),
-               worker_id, s["n_workers"])
+                     (lr_min - lr0) * min(1.0, progress[0] / total_scheduled))
 
 
 def train(corpus_path: str | Path, model: EmbeddingModel,
@@ -196,7 +164,8 @@ def train(corpus_path: str | Path, model: EmbeddingModel,
 
     ``epochs = 0`` is a no-op.  Corpus tokens outside the vocabulary are
     skipped silently; pairs whose context row equals the center row carry no
-    negative-sampling signal and are skipped.
+    negative-sampling signal and are skipped.  A worker that raises or dies
+    fails the call with :class:`TrainingError` naming the worker.
     """
     if config is None:
         config = model.config
@@ -212,46 +181,19 @@ def train(corpus_path: str | Path, model: EmbeddingModel,
     sampler = noise_distribution(vocab)
     keep_prob = _keep_probabilities(vocab.counts, config.subsample_t)
 
-    workers = config.workers
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        log.warning("fork start method unavailable; training with one worker")
-        workers = 1
-
-    if workers == 1:
-        _run_shard(corpus_path, model.input_vectors, model.output_vectors, vocab.index,
-                   sampler, keep_prob, config, total_scheduled, _Progress(), 0, 1)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        shm_in = shm_out = None
-        inp = out = None
-        try:
-            shm_in = shared_memory.SharedMemory(create=True, size=model.input_vectors.nbytes)
-            shm_out = shared_memory.SharedMemory(create=True, size=model.output_vectors.nbytes)
-            inp = np.ndarray(model.input_vectors.shape, dtype=np.float64, buffer=shm_in.buf)
-            out = np.ndarray(model.output_vectors.shape, dtype=np.float64, buffer=shm_out.buf)
-            inp[:] = model.input_vectors
-            out[:] = model.output_vectors
-            _FORK_STATE.update(
-                corpus_path=corpus_path, inp=inp, out=out, index=vocab.index,
-                sampler=sampler, keep_prob=keep_prob, config=config,
-                total_scheduled=total_scheduled, n_workers=workers,
-                progress=ctx.Value("q", 0, lock=False),
-            )
-            try:
-                with ctx.Pool(processes=workers) as pool:
-                    pool.map(_parallel_worker, range(workers))
-            except Exception as exc:
-                raise TrainingError(f"worker failed: {exc}") from exc
-            model.input_vectors[:] = inp
-            model.output_vectors[:] = out
-        finally:
-            _FORK_STATE.clear()
-            inp = None
-            out = None
-            for shm in (shm_in, shm_out):
-                if shm is not None:
-                    shm.close()
-                    shm.unlink()
+    # Shared mappings: what forked workers write lands in the parent's copies.
+    inp, out = (np.frombuffer(mmap.mmap(-1, m.nbytes)).reshape(m.shape)
+                for m in (model.input_vectors, model.output_vectors))
+    inp[:], out[:] = model.input_vectors, model.output_vectors
+    progress = memoryview(mmap.mmap(-1, 8)).cast("q")
+    try:
+        fork_map(lambda worker: _parallel_worker(corpus_path, inp, out, vocab.index, sampler,
+                                                 keep_prob, config, total_scheduled, progress,
+                                                 worker, config.workers), config.workers)
+    except WorkerError as exc:
+        raise TrainingError(str(exc)) from exc
+    model.input_vectors[:] = inp
+    model.output_vectors[:] = out
 
     if not (np.isfinite(model.input_vectors).all() and np.isfinite(model.output_vectors).all()):
         raise TrainingError("non-finite vector entries after training")

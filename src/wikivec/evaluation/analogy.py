@@ -16,7 +16,7 @@ import numpy as np
 
 from wikivec.vectors import VectorSet
 
-_BATCH = 512
+_BATCH = 128
 
 
 @dataclass(frozen=True, slots=True)

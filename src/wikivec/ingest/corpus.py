@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterator
 
@@ -21,6 +21,7 @@ from wikivec.ingest.dump import PageRecord, open_dump, stream_pages
 from wikivec.ingest.prune import prune_page
 from wikivec.ingest.redirects import RedirectMap, build_redirect_map
 from wikivec.ingest.textify import mask_markup, tokenize
+from wikivec.workers import fork_map
 
 log = logging.getLogger(__name__)
 
@@ -108,31 +109,24 @@ def scan_dump(dump_path: Path) -> tuple[RedirectMap, frozenset[int], int, int]:
     return redirects, frozenset(kept), pages_seen, len(kept)
 
 
-def _render_page(page: PageRecord, redirects: RedirectMap, kept: frozenset[int],
-                 mode: str) -> tuple[str, int, int, int, list[tuple[str, int]]]:
-    """Render one kept page; returns (line, token count, explicit, heuristic, anchor stats)."""
+def _render_page(page: PageRecord, redirects: RedirectMap, kept: frozenset[int], mode: str,
+                 stats: IngestStats, anchor_counts: Counter) -> str:
+    """Render one kept page into a line, adding its tokens and anchors to the tallies."""
     anchors = extract_anchors(page.wikitext)
     explicit = len(anchors)
     if mode == "heuristic":
         anchors = apply_title_heuristic(page, anchors)
     targets = resolve_targets(anchors, redirects, kept)
     tokens = render_line(page, anchors, targets, mode)
-    stats_pairs = []
+    stats.tokens_emitted += len(tokens)
+    stats.anchors_explicit += explicit
+    stats.anchors_heuristic += len(anchors) - explicit
     for anchor, target_id in zip(anchors, targets):
         if anchor.provenance == EXPLICIT and target_id is not None:
             surface = _normalize_surface(anchor.surface_text)
             if surface:
-                stats_pairs.append((surface, target_id))
-    return " ".join(tokens), len(tokens), explicit, len(anchors) - explicit, stats_pairs
-
-
-# Parallel rendering state, installed in the parent right before fork.
-_POOL_STATE: dict = {}
-
-
-def _pool_render(page: PageRecord):
-    return _render_page(page, _POOL_STATE["redirects"], _POOL_STATE["kept"],
-                        _POOL_STATE["mode"])
+                anchor_counts[surface, target_id] += 1
+    return " ".join(tokens)
 
 
 def iter_kept_pages(dump_path: Path, kept: frozenset[int]) -> Iterator[PageRecord]:
@@ -140,6 +134,17 @@ def iter_kept_pages(dump_path: Path, kept: frozenset[int]) -> Iterator[PageRecor
         for page in stream_pages(stream):
             if page.page_id in kept:
                 yield page
+
+
+def _pool_render(dump_path: Path, redirects: RedirectMap, kept: frozenset[int], mode: str,
+                 worker_id: int, n_workers: int, out_path: Path) -> tuple[IngestStats, Counter]:
+    """Stream the dump and render every ``n_workers``-th kept page, from the
+    ``worker_id``-th on, into ``out_path``; returns their tallies."""
+    stats, anchor_counts = IngestStats(), Counter()
+    with open(out_path, "w", encoding="utf-8", newline="\n") as out:
+        for page in islice(iter_kept_pages(dump_path, kept), worker_id, None, n_workers):
+            out.write(_render_page(page, redirects, kept, mode, stats, anchor_counts) + "\n")
+    return stats, anchor_counts
 
 
 def write_anchor_stats(counts: Counter, path: str | Path) -> None:
@@ -151,41 +156,43 @@ def write_anchor_stats(counts: Counter, path: str | Path) -> None:
 
 def build_corpus(dump_path: str | Path, out_path: str | Path, mode: str = "standard",
                  workers: int = 1, anchor_stats_path: str | Path | None = None) -> IngestStats:
-    """Compile a dump into a one-line-per-kept-page corpus file.
+    """Compile a dump into a one-line-per-kept-page corpus file, in document order.
 
-    Single-worker runs are byte-deterministic and document-ordered; with
-    ``workers > 1`` pages are rendered by a fork-based pool and line order is
-    unspecified.
+    The output is the same for any ``workers``: with more than one, each forked
+    worker streams the dump and renders every n-th kept page into a part file,
+    and the parts are interleaved in order and deleted.  A worker that raises
+    or dies fails the call with :class:`wikivec.workers.WorkerError`.
     """
     mode = mode.replace("-", "_")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    dump_path = Path(dump_path)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    dump_path, out_path = Path(dump_path), Path(out_path)
     redirects, kept, pages_seen, pages_kept = scan_dump(dump_path)
     stats = IngestStats(pages_seen=pages_seen, pages_kept=pages_kept,
                         redirect_cycles=redirects.cycles)
     anchor_counts: Counter = Counter()
 
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        log.warning("fork start method unavailable; rendering with one worker")
-        workers = 1
-
-    with ExitStack() as stack:
-        out = stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
-        pages = iter_kept_pages(dump_path, kept)
+    parts = [out_path] if workers == 1 else [Path(f"{out_path}.part{i}") for i in range(workers)]
+    try:
+        results = fork_map(lambda worker: _pool_render(dump_path, redirects, kept, mode, worker,
+                                                       workers, parts[worker]), workers)
         if workers > 1:
-            _POOL_STATE.update(redirects=redirects, kept=kept, mode=mode)
-            stack.callback(_POOL_STATE.clear)
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
-            results = pool.imap_unordered(_pool_render, pages, chunksize=16)
-        else:
-            results = (_render_page(page, redirects, kept, mode) for page in pages)
-        for line, n_tokens, explicit, heuristic, pairs in results:
-            out.write(line + "\n")
-            stats.tokens_emitted += n_tokens
-            stats.anchors_explicit += explicit
-            stats.anchors_heuristic += heuristic
-            anchor_counts.update(pairs)
+            with ExitStack() as stack:
+                out = stack.enter_context(open(out_path, "wb"))
+                readers = [stack.enter_context(open(part, "rb")) for part in parts]
+                for lines in zip_longest(*readers):
+                    out.writelines(filter(None, lines))
+    finally:
+        if workers > 1:
+            for part in parts:
+                part.unlink(missing_ok=True)
+    for tally, counts in results:
+        stats.tokens_emitted += tally.tokens_emitted
+        stats.anchors_explicit += tally.anchors_explicit
+        stats.anchors_heuristic += tally.anchors_heuristic
+        anchor_counts.update(counts)
 
     if anchor_stats_path is not None:
         write_anchor_stats(anchor_counts, anchor_stats_path)

@@ -383,6 +383,26 @@ def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
     assert out2.read_bytes() == GOLDEN_STANDARD.read_bytes()
 
 
+def test_config_rejects_keys_no_subcommand_defines(tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"ordered": True, "wrokers": 4, "dim": 50}),
+                      encoding="utf-8")
+    out = tmp_path / "c.txt"
+    code, _, stderr = run_cli(capsys, "--config", config, "ingest",
+                              "--dump", FIXTURE_DUMP, "--out", out)
+    assert code == 2
+    message = json.loads(stderr)["message"]
+    assert "ordered" in message and "wrokers" in message and "dim" not in message
+    assert not out.exists()
+    # Keys of other subcommands are fine: one config file serves the whole pipeline.
+    config.write_text(json.dumps({"dim": 50, "min-count": 1, "mode": "standard"}),
+                      encoding="utf-8")
+    code, _, _ = run_cli(capsys, "--config", config, "ingest",
+                         "--dump", FIXTURE_DUMP, "--out", out)
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_STANDARD.read_bytes()
+
+
 def test_config_must_be_a_json_object(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text("[1, 2]", encoding="utf-8")

@@ -106,12 +106,23 @@ def test_build_corpus_heuristic_anchor_tally(tmp_path):
 
 
 def test_build_corpus_parallel_same_lines(tmp_path):
-    serial = tmp_path / "serial.txt"
-    parallel = tmp_path / "parallel.txt"
-    s1 = build_corpus(FIXTURE_DUMP, serial, mode="standard", workers=1)
-    s2 = build_corpus(FIXTURE_DUMP, parallel, mode="standard", workers=2)
-    assert sorted(serial.read_text().splitlines()) == sorted(parallel.read_text().splitlines())
-    assert (s1.tokens_emitted, s1.anchors_explicit) == (s2.tokens_emitted, s2.anchors_explicit)
+    # Any worker count gives the same bytes, anchor statistics and stats; the
+    # fixture's 6 kept pages split unevenly over 4 workers.
+    for mode in ("standard", "heuristic", "anchors_only"):
+        outputs = {}
+        for workers in (1, 2, 4):
+            out = tmp_path / f"{mode}.{workers}.txt"
+            tsv = tmp_path / f"{mode}.{workers}.tsv"
+            stats = build_corpus(FIXTURE_DUMP, out, mode=mode, workers=workers,
+                                 anchor_stats_path=tsv)
+            outputs[workers] = (out.read_bytes(), tsv.read_bytes(), stats)
+        assert outputs[2] == outputs[1] and outputs[4] == outputs[1]
+    assert not list(tmp_path.glob("*.part*"))
+
+
+def test_build_corpus_rejects_zero_workers(tmp_path):
+    with pytest.raises(ValueError, match="workers"):
+        build_corpus(FIXTURE_DUMP, tmp_path / "x.txt", workers=0)
 
 
 def test_build_corpus_rejects_bad_mode(tmp_path):

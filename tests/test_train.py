@@ -7,7 +7,6 @@ from oracles import fd_gradients, neg_pair_loss
 from wikivec.embedding.model import EmbeddingModel, TrainingConfig, init_model
 from wikivec.embedding.train import (
     _keep_probabilities,
-    _train_pair,
     pair_loss,
     sgd_step,
     train,
@@ -108,16 +107,6 @@ def test_sgd_step_argument_validation():
         sgd_step(model, 2, 2, [0], lr=0.1)
     with pytest.raises(ValueError, match="lr"):
         sgd_step(model, 0, 1, [2], lr=0.0)
-
-
-def test_train_pair_matches_sgd_step_updates():
-    m1 = _model(seed=13)
-    m2 = _model(seed=13)
-    rows = np.array([4, 0, 0, 5], dtype=np.int64)
-    sgd_step(m1, 2, 4, [0, 0, 5], lr=0.07)
-    _train_pair(m2.input_vectors, m2.output_vectors, rows, 2, 0.07)
-    assert np.array_equal(m1.input_vectors, m2.input_vectors)
-    assert np.array_equal(m1.output_vectors, m2.output_vectors)
 
 
 def test_keep_probabilities():
