@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from collections import Counter
@@ -55,6 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wikivec",
         description="Concept-annotated corpora, embeddings, and their evaluations.")
     parser.add_argument("--config", help="JSON file with option defaults", default=None)
+    parser.add_argument("--log-level", dest="log_level", type=str.upper, default=None,
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="print log records of this level and above to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
     S = argparse.SUPPRESS
 
@@ -165,7 +169,7 @@ def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
         for key, value in loaded.items():
             options[key.replace("-", "_")] = value
     for key, value in vars(args).items():
-        if key in ("config", "command", "eval_command", "baseline_command"):
+        if key in ("config", "log_level", "command", "eval_command", "baseline_command"):
             continue
         options[key] = value
     return options
@@ -440,6 +444,9 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.log_level:
+        logging.basicConfig(stream=sys.stderr, level=args.log_level,
+                            format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     command = args.command
     if command == "eval":
         command = f"eval {args.eval_command}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +38,11 @@ class TrainingConfig:
             raise ValueError("negatives must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.lr_initial <= 0:
-            raise ValueError("lr_initial must be > 0")
-        if self.subsample_t < 0:
-            raise ValueError("subsample_t must be >= 0")
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if not (math.isfinite(self.lr_initial) and self.lr_initial > 0):
+            raise ValueError(f"lr_initial must be finite and > 0, got {self.lr_initial}")
+        if not (math.isfinite(self.subsample_t) and self.subsample_t >= 0):
+            raise ValueError(f"subsample_t must be finite and >= 0, got {self.subsample_t}")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
         if self.workers < 1:

@@ -1,4 +1,5 @@
-"""Run one task per worker in forked children that inherit the caller's memory."""
+"""Run one task per worker in forked children that inherit the caller's memory, and
+split a file between workers by byte range."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import pickle
 import select
 import signal
 import traceback
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator
 
 
 class WorkerError(RuntimeError):
@@ -74,3 +76,17 @@ def _run_child(task: Callable[[int], object], worker: int, write_fd: int) -> Non
             code = 0
     finally:
         os._exit(code)
+
+
+def shard_lines(path: str | Path, worker: int, n: int) -> Iterator[str]:
+    """The lines of ``path`` whose first byte lies in ``[worker * S / n, (worker + 1) * S / n)``
+    of its S bytes, so n shards hold every line once.  Lines end at ``\\n``."""
+    size = os.path.getsize(path)
+    pos, end = size * worker // n, size * (worker + 1) // n
+    with open(path, "rb") as handle:
+        if pos > 0:
+            handle.seek(pos - 1)
+            pos += len(handle.readline()) - 1  # the rest of a line that started before pos
+        while pos < end and (line := handle.readline()):
+            pos += len(line)
+            yield line.decode("utf-8")

@@ -78,6 +78,37 @@ def fd_gradients(input_vectors, output_vectors, center: int, context: int,
     return grad_center, grad_out
 
 
+def center_block_update(input_vectors, output_vectors, block: Sequence[Sequence[int]],
+                        center: int, lr: float, live=None):
+    """One center's skip-gram update over several pairs, from the definition.
+
+    Row j of ``block`` is pair j: its context, then its negatives.  Each entry
+    is scored against the pre-update center row and pre-update output rows, and
+    contributes lr * (label - sigmoid(score)) with label 1 for the context and 0
+    for a negative; an entry whose ``live`` flag is False contributes nothing.
+    Contributions add up, so a row repeated anywhere in the block gets the sum.
+    Returns (new input matrix, new output matrix, scores) as nested lists.
+    """
+    inp = [list(row) for row in input_vectors]
+    out = [list(row) for row in output_vectors]
+    v = list(inp[center])
+    before = [list(row) for row in out]
+    scores = []
+    for j, pair in enumerate(block):
+        pair_scores = []
+        for col, row in enumerate(pair):
+            score = dot(before[row], v)
+            pair_scores.append(score)
+            if live is not None and not live[j][col]:
+                continue
+            g = lr * ((1.0 if col == 0 else 0.0) - sigmoid(score))
+            for d in range(len(v)):
+                out[row][d] += g * v[d]
+                inp[center][d] += g * before[row][d]
+        scores.append(pair_scores)
+    return inp, out, scores
+
+
 def average_ranks_fraction(values: Sequence[float]) -> list[Fraction]:
     """1-based fractional ranks with tie averaging, exact arithmetic."""
     order = sorted(range(len(values)), key=lambda i: values[i])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA, FIXTURE_DUMP, GOLDEN_ANCHOR_STATS, GOLDEN_STANDARD
+from wikivec import cli
 from wikivec.cli import main
 from wikivec.vectors import load_text, save_text, VectorSet
 
@@ -126,6 +127,22 @@ def test_train_warm_start_epochs_zero_copies_rows(tmp_path, capsys):
     vset = load_text(out)
     assert np.allclose(vset.get("paris"), [0.1, 0.2, 0.3, 0.4], atol=5e-7)
     assert np.allclose(vset.get("france"), [0.5] * 4, atol=5e-7)
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--subsample", "nan", "subsample_t"), ("--subsample", "inf", "subsample_t"),
+    ("--lr", "nan", "lr_initial"), ("--lr", "inf", "lr_initial"),
+])
+def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flag, value, field):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("paris france paris france\n", encoding="utf-8")
+    out = tmp_path / "v.txt"
+    code, _, stderr = run_cli(capsys, "train", "--corpus", corpus, "--out", out,
+                              "--dim", "4", "--min-count", "1", flag, value)
+    assert code == 1
+    assert field in json.loads(stderr)["message"]
+    assert not out.exists()
+    assert not (tmp_path / "v.txt.manifest.json").exists()
 
 
 def test_similar_lists_neighbours(trained, capsys):
@@ -410,6 +427,33 @@ def test_config_must_be_a_json_object(tmp_path, capsys):
                               "--corpus", GOLDEN_STANDARD)
     assert code == 2
     assert "JSON object" in json.loads(stderr)["message"]
+
+
+# --- logging -------------------------------------------------------------------
+
+
+def test_log_level_configures_logging_only_when_given(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: calls.append(kwargs))
+    code, _, _ = run_cli(capsys, "stats", "--corpus", GOLDEN_STANDARD)
+    assert code == 0 and calls == []
+    code, _, _ = run_cli(capsys, "--log-level", "info", "stats", "--corpus", GOLDEN_STANDARD)
+    assert code == 0
+    assert len(calls) == 1 and calls[0]["level"] == "INFO"
+    assert calls[0]["stream"] is sys.stderr
+
+
+def test_log_level_info_reports_training(tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("paris france rome italy\n" * 20, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "wikivec.cli", "--log-level", "INFO",
+                           "train", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt"),
+                           "--dim", "4", "--min-count", "1", "--subsample", "0",
+                           "--epochs", "1", "--window", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # Window 1 over 20 lines of 4 distinct tokens: 6 pairs per line.
+    assert "pairs trained 120, pairs skipped 0, tokens 80," in proc.stderr
 
 
 # --- entry point -------------------------------------------------------------

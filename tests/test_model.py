@@ -24,6 +24,8 @@ def test_config_defaults():
 @pytest.mark.parametrize("field,value", [
     ("dim", 0), ("window", 0), ("negatives", 0), ("epochs", -1),
     ("lr_initial", 0.0), ("subsample_t", -1e-9), ("min_count", 0), ("workers", 0),
+    ("lr_initial", float("nan")), ("lr_initial", float("inf")),
+    ("subsample_t", float("nan")), ("subsample_t", float("inf")),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ValueError, match=field):

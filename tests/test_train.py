@@ -1,12 +1,18 @@
-"""Trainer unit tests: gradients against finite differences, schedules, determinism."""
+"""Trainer unit tests: gradients against finite differences, the per-center kernel
+against a pure-Python oracle, window building, schedules, determinism."""
+
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import fd_gradients, neg_pair_loss
+from oracles import center_block_update, fd_gradients, log_sigmoid, neg_pair_loss
 from wikivec.embedding.model import EmbeddingModel, TrainingConfig, init_model
 from wikivec.embedding.train import (
     _keep_probabilities,
+    _line_contexts,
+    _train_center,
     pair_loss,
     sgd_step,
     train,
@@ -105,8 +111,95 @@ def test_sgd_step_argument_validation():
     model = _model()
     with pytest.raises(ValueError, match="differ"):
         sgd_step(model, 2, 2, [0], lr=0.1)
-    with pytest.raises(ValueError, match="lr"):
-        sgd_step(model, 0, 1, [2], lr=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        before = (model.input_vectors.copy(), model.output_vectors.copy())
+        with pytest.raises(ValueError, match="lr"):
+            sgd_step(model, 0, 1, [2], lr=lr)
+        assert np.array_equal(model.input_vectors, before[0])
+        assert np.array_equal(model.output_vectors, before[1])
+
+
+# Blocks of pairs for one center (center 0): context first, then negatives.
+BLOCK_CASES = {
+    # Row 1 is the context of two pairs, and row 3 a negative of both.
+    "repeated context": ([[1, 3, 4], [1, 2, 3], [5, 3, 3]], None),
+    # Pair 0's negative 2 is pair 1's context, and pair 1's negative 1 is pair 0's.
+    "negative is another pair's context": ([[1, 2, 4], [2, 1, 5]], None),
+    # Pair 0 keeps one negative; pair 1 has none left, so it is skipped whole.
+    "masked negatives": ([[1, 1, 4], [2, 2, 2], [3, 4, 1]],
+                         [[True, False, True], [False, False, False], [True, True, True]]),
+}
+
+
+def _assert_matches_oracle(model, block, center, lr, live):
+    want_inp, want_out, want_scores = center_block_update(
+        model.input_vectors.tolist(), model.output_vectors.tolist(), block, center, lr, live)
+    scores = _train_center(model.input_vectors, model.output_vectors,
+                           np.asarray(block, dtype=np.int64), center, lr,
+                           None if live is None else np.asarray(live))
+    np.testing.assert_allclose(scores, want_scores, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.input_vectors, want_inp, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.output_vectors, want_out, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_train_center_matches_block_oracle(case):
+    block, live = BLOCK_CASES[case]
+    model = _model(seed=31)
+    before = model.output_vectors.copy()
+    _assert_matches_oracle(model, block, 0, 0.3, live)
+    if live is not None:
+        # The skipped pair's context row 2 is touched by no live entry.
+        assert np.array_equal(model.output_vectors[2], before[2])
+
+
+def test_train_center_matches_block_oracle_on_random_blocks():
+    rng = np.random.default_rng(17)
+    for case in range(60):
+        model = _model(n_tokens=7, dim=4, seed=200 + case)
+        center = int(rng.integers(0, 7))
+        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        # Few rows, so repeats within and across pairs are common.
+        block = rng.integers(0, 7, size=(m, k + 1)).tolist()
+        live = (rng.random((m, k + 1)) < 0.8).tolist() if case % 2 else None
+        _assert_matches_oracle(model, block, center, float(rng.uniform(0.01, 0.5)), live)
+
+
+def test_sgd_step_is_the_one_row_block():
+    model = _model(seed=41)
+    want_inp, want_out, (want_scores,) = center_block_update(
+        model.input_vectors.tolist(), model.output_vectors.tolist(), [[4, 0, 5, 0]], 2, 0.2)
+    loss = sgd_step(model, 2, 4, [0, 5, 0], lr=0.2)
+    np.testing.assert_allclose(model.input_vectors, want_inp, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.output_vectors, want_out, rtol=0, atol=1e-12)
+    want_loss = -log_sigmoid(want_scores[0]) - sum(log_sigmoid(-s) for s in want_scores[1:])
+    assert loss == pytest.approx(want_loss, abs=1e-12)
+
+
+def _reference_contexts(ids, radii):
+    """The per-position window loop: left part, then right part, centre ids removed."""
+    n = len(ids)
+    per_position = []
+    for pos in range(n):
+        lo = max(0, pos - radii[pos])
+        hi = min(n, pos + radii[pos] + 1)
+        window = ids[lo:pos] + ids[pos + 1:hi]
+        per_position.append([c for c in window if c != ids[pos]])
+    return per_position
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda window: st.tuples(
+    st.just(window),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, window)), min_size=1, max_size=40))))
+def test_line_contexts_match_the_per_position_loop(case):
+    window, positions = case
+    ids = [i for i, _ in positions]
+    radii = [r for _, r in positions]
+    counts, contexts = _line_contexts(np.array(ids), np.array(radii), window)
+    want = _reference_contexts(ids, radii)
+    assert counts.tolist() == [len(c) for c in want]
+    assert contexts.tolist() == [c for per_pos in want for c in per_pos]
 
 
 def test_keep_probabilities():
@@ -201,3 +294,20 @@ def test_train_dim_mismatch_rejected(tmp_path):
     model = init_model(vocab, TrainingConfig(dim=4, min_count=1))
     with pytest.raises(ValueError, match="dim"):
         train(corpus, model, TrainingConfig(dim=8, min_count=1))
+
+
+def test_train_counts_trained_and_skipped_pairs(tmp_path, caplog):
+    # Noise almost never draws "b", so a pair whose context is "a" keeps no negative
+    # after the redraws and is skipped: "b", the center of only such pairs, never moves.
+    corpus = tmp_path / "ab.txt"
+    corpus.write_text("a b\n" * 5, encoding="utf-8")
+    vocab = Vocabulary(["a", "b"], np.array([10**15, 1]))
+    cfg = TrainingConfig(dim=4, epochs=2, window=1, negatives=2, min_count=1, seed=0,
+                         subsample_t=0.0)
+    model = init_model(vocab, cfg)
+    before = model.input_vectors.copy()
+    with caplog.at_level(logging.INFO, logger="wikivec.embedding.train"):
+        train(corpus, model)
+    assert "pairs trained 10, pairs skipped 10, tokens " in caplog.text
+    assert np.array_equal(model.input_vectors[1], before[1])
+    assert not np.array_equal(model.input_vectors[0], before[0])

@@ -1,4 +1,5 @@
-"""Forked workers: task order, the in-process path, and failing fast when a worker fails."""
+"""Forked workers: task order, the in-process path, failing fast when a worker fails,
+and byte-range shards of a file."""
 
 import importlib
 import itertools
@@ -9,12 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wikivec.ingest.corpus as corpus
 from wikivec.embedding.model import TrainingConfig, init_model
 from wikivec.embedding.vocab import build_vocab
 from wikivec.ingest.corpus import build_corpus
-from wikivec.workers import WorkerError, fork_map
+from wikivec.workers import WorkerError, fork_map, shard_lines
 
 from conftest import FIXTURE_DUMP
 
@@ -132,15 +134,15 @@ def test_failing_training_worker_fails_fast(tmp_path, monkeypatch, failure, dead
 
     def worker(*args):
         if args[-2] == 1:
-            # Patched in this child's memory only: it fails after 50 updates.
-            updates = itertools.count()
-            real_pair = train_mod._train_pair
+            # Patched in this child's memory only: it fails after 50 kernel calls.
+            calls = itertools.count()
+            real_center = train_mod._train_center
 
-            def train_pair(*pair_args):
-                if next(updates) == 50:
+            def train_center(*center_args):
+                if next(calls) == 50:
                     fail()
-                return real_pair(*pair_args)
-            train_mod._train_pair = train_pair
+                return real_center(*center_args)
+            train_mod._train_center = train_center
         return real_worker(*args)
 
     monkeypatch.setattr(train_mod, "_parallel_worker", worker)
@@ -148,3 +150,31 @@ def test_failing_training_worker_fails_fast(tmp_path, monkeypatch, failure, dead
     with pytest.raises(train_mod.TrainingError, match=message):
         train_mod.train(corpus_path, model, cfg)
     assert time.perf_counter() - started < 10
+
+
+def _lines(text):
+    """``text`` split after every newline; a last line without one still counts."""
+    parts = text.split("\n")
+    return [part + "\n" for part in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(st.sampled_from("ab é\n"), max_size=60))
+@example("")  # an empty file
+@example("x" * 40 + "\nab\n")  # a line longer than any shard
+@example("ab\ncd\nno newline at the end")
+@example("\n\n\n")
+def test_shards_partition_the_lines_in_order(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("shards") / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    lines = _lines(text)
+    starts = np.cumsum([0] + [len(line.encode("utf-8")) for line in lines])[:-1]
+    size = path.stat().st_size
+    for n in range(1, 5):
+        shards = [list(shard_lines(path, worker, n)) for worker in range(n)]
+        # Disjoint and complete: in worker order, the shards are the file's lines.
+        assert [line for shard in shards for line in shard] == lines
+        # And each line went to the worker whose byte range holds its first byte.
+        owners = [worker for worker, shard in enumerate(shards) for _ in shard]
+        for start, worker in zip(starts, owners):
+            assert size * worker // n <= start < size * (worker + 1) // n
