@@ -228,10 +228,12 @@ def _cmd_train(options: dict) -> int:
 
 
 def _cmd_similar(options: dict) -> int:
+    k = int(options["k"])
+    if k < 1:
+        raise UsageError(f"-k must be >= 1, got {k}")
     vset = load_text(options["vectors"])
     token = options["token"]
-    hits = vset.nearest(vset.get(token), k=int(options["k"]) + 1, exclude=(token,))
-    for other, score in hits[:int(options["k"])]:
+    for other, score in vset.nearest(vset.get(token), k=k, exclude=(token,)):
         print(f"{other}\t{score:.6f}")
     return 0
 
@@ -249,6 +251,8 @@ def _parse_buckets(spec: str) -> list[int]:
         raise UsageError(f"bad bucket list {spec!r}") from None
     if not buckets:
         raise UsageError("at least one bucket cap is required")
+    if min(buckets) < 1:
+        raise UsageError(f"bucket caps must be >= 1, got {min(buckets)}")
     return buckets
 
 

@@ -35,9 +35,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def frequency(self, token: str) -> int:
-        return int(self.counts[self.index[token]])
-
     @property
     def total_tokens(self) -> int:
         """Total retained corpus occurrences (sum of kept frequencies)."""

@@ -16,7 +16,7 @@ from wikivec.evaluation.similarity import (
     eval_similarity,
     load_similarity_pairs,
 )
-from wikivec.evaluation.stats import average_ranks, spearman
+from wikivec.evaluation.stats import spearman
 
 __all__ = [
     "AnalogyQuestion",
@@ -25,7 +25,6 @@ __all__ = [
     "SenseIndex",
     "SimilarityPair",
     "SimilarityReport",
-    "average_ranks",
     "build_sense_index",
     "common_subset_eval",
     "eval_analogy",

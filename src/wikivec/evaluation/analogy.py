@@ -17,6 +17,8 @@ import numpy as np
 from wikivec.vectors import VectorSet
 
 _BATCH = 128
+# Row index standing for a token the set lacks: past every frequency cap.
+_MISSING = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,38 +69,29 @@ def load_analogy_questions(path: str | Path) -> list[AnalogyQuestion]:
     return questions
 
 
-def _found_mask(vset: VectorSet, questions: Sequence[AnalogyQuestion]) -> np.ndarray:
-    return np.array([all(t in vset for t in q.tokens) for q in questions], dtype=bool)
+def _question_rows(vset: VectorSet, questions: Sequence[AnalogyQuestion]) -> np.ndarray:
+    """Rows of each question's a, b, c, d; a token not in ``vset`` maps past any cap."""
+    return np.array([[vset.row(t) if t in vset else _MISSING for t in q.tokens]
+                     for q in questions], dtype=np.int64).reshape(len(questions), 4)
 
 
-def _count_correct(vset: VectorSet, questions: Sequence[AnalogyQuestion]) -> int:
-    """Batch-answer questions whose four tokens are all present in ``vset``.
+def _count_correct(vset: VectorSet, rows: np.ndarray, cap: int) -> int:
+    """How many questions' d is the row nearest b - a + c among the first ``cap``.
 
-    Scoring mirrors ``VectorSet.analogy_query`` exactly: cosine against the
-    offset vector, a/b/c and zero-norm rows excluded, ties to the earlier
-    token.  A zero-norm offset has no direction and scores as incorrect.
+    ``rows`` holds one (a, b, c, d) row index quadruple per question.  A zero
+    offset has no direction and counts as incorrect.
     """
-    if not questions:
-        return 0
-    unit = vset.unit_matrix()
-    zero_rows = np.all(vset.matrix == 0.0, axis=1)
-    idx = np.array([[vset.row(t) for t in q.tokens] for q in questions], dtype=np.int64)
     correct = 0
-    for start in range(0, idx.shape[0], _BATCH):
-        block = idx[start:start + _BATCH]
+    for start in range(0, len(rows), _BATCH):
+        block = rows[start:start + _BATCH]
         offsets = (vset.matrix[block[:, 1]] - vset.matrix[block[:, 0]]
                    + vset.matrix[block[:, 2]])
         norms = np.linalg.norm(offsets, axis=1)
         valid = norms > 0.0
         offsets[valid] /= norms[valid, None]
-        scores = offsets @ unit.T
-        scores[:, zero_rows] = -np.inf
-        rows = np.arange(block.shape[0])
-        for col in (0, 1, 2):
-            scores[rows, block[:, col]] = -np.inf
-        predicted = np.argmax(scores, axis=1)
-        answered = scores[rows, predicted] > -np.inf
-        correct += int(np.count_nonzero(valid & answered & (predicted == block[:, 3])))
+        best, scores = vset.top_rows(offsets, 1, block[:, :3], cap)
+        hit = (scores[:, 0] > -np.inf) & (best[:, 0] == block[:, 3])
+        correct += int(np.count_nonzero(valid & hit))
     return correct
 
 
@@ -111,15 +104,15 @@ def eval_analogy(vset: VectorSet, questions: Sequence[AnalogyQuestion],
     """
     if not vset.frequency_ranked:
         raise ValueError("analogy evaluation needs a frequency-ranked vector set")
+    if any(cap < 1 for cap in buckets):
+        raise ValueError("bucket caps must be >= 1")
+    rows = _question_rows(vset, questions)
+    reach = rows.max(axis=1)
     reports: list[AnalogyReport] = []
     for cap in buckets:
-        if cap < 1:
-            raise ValueError("bucket caps must be >= 1")
-        sub = vset.top(cap)
-        mask = _found_mask(sub, questions)
-        found = [q for q, ok in zip(questions, mask) if ok]
+        found = rows[reach < cap]
         reports.append(AnalogyReport(bucket=cap, found=len(found),
-                                     correct=_count_correct(sub, found)))
+                                     correct=_count_correct(vset, found, cap)))
     return reports
 
 
@@ -134,14 +127,15 @@ def eval_analogy_commons(sets: Sequence[VectorSet], questions: Sequence[AnalogyQ
             raise ValueError("analogy evaluation needs frequency-ranked vector sets")
     if not sets:
         return []
+    if any(cap < 1 for cap in buckets):
+        raise ValueError("bucket caps must be >= 1")
+    rows = [_question_rows(vset, questions) for vset in sets]
+    reach = np.max([r.max(axis=1) for r in rows], axis=0)
     reports: list[list[AnalogyReport]] = [[] for _ in sets]
     for cap in buckets:
-        if cap < 1:
-            raise ValueError("bucket caps must be >= 1")
-        subs = [vset.top(cap) for vset in sets]
-        shared = np.logical_and.reduce([_found_mask(sub, questions) for sub in subs])
-        common = [q for q, ok in zip(questions, shared) if ok]
-        for i, sub in enumerate(subs):
-            reports[i].append(AnalogyReport(bucket=cap, found=len(common),
-                                            correct=_count_correct(sub, common)))
+        shared = reach < cap
+        found = int(np.count_nonzero(shared))
+        for i, vset in enumerate(sets):
+            reports[i].append(AnalogyReport(bucket=cap, found=found,
+                                            correct=_count_correct(vset, rows[i][shared], cap)))
     return reports

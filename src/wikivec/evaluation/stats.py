@@ -12,36 +12,26 @@ from typing import Sequence
 import numpy as np
 
 
-def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they occupy."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        # Positions i..j (0-based) hold one tie group; average their 1-based ranks.
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rho of two equal-length sequences (n >= 2).
 
     A constant sequence has zero rank variance, which leaves the coefficient
     undefined; that case returns NaN.
     """
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    if rx.size != ry.size:
+    # Imported here: scipy.stats takes about half a second to import, and only
+    # similarity evaluation ranks anything.
+    from scipy.stats import rankdata
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if x.size != y.size:
         raise ValueError("sequences must have equal length")
-    if rx.size < 2:
+    if x.size < 2:
         raise ValueError("need at least two observations")
+    # Tied values share the mean of the 1-based ranks they occupy.
+    rx, ry = rankdata(x), rankdata(y)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     sxx = float(dx @ dx)

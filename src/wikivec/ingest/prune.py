@@ -12,9 +12,6 @@ from typing import Callable
 
 from wikivec.ingest.dump import PageRecord
 
-KEEP = "keep"
-DISCARD = "discard"
-
 _DISAMBIG_BODY = ("may refer to:", "may also refer to")
 
 
@@ -22,12 +19,11 @@ _DISAMBIG_BODY = ("may refer to:", "may also refer to")
 class PruneDecision:
     """Verdict for one page; ``rule_id`` names the matching rule iff discarded."""
 
-    verdict: str
     rule_id: str | None = None
 
     @property
     def keep(self) -> bool:
-        return self.verdict == KEEP
+        return self.rule_id is None
 
 
 def _title_prefix(prefix: str) -> Callable[[PageRecord], bool]:
@@ -59,12 +55,10 @@ PRUNE_RULES: tuple[tuple[str, Callable[[PageRecord], bool]], ...] = (
     ("topic-prefix", _title_prefix("Topic:")),
 )
 
-RULE_IDS: tuple[str, ...] = tuple(rule_id for rule_id, _ in PRUNE_RULES)
-
 
 def prune_page(page: PageRecord) -> PruneDecision:
     """Classify one page: every page gets exactly one verdict."""
     for rule_id, predicate in PRUNE_RULES:
         if predicate(page):
-            return PruneDecision(DISCARD, rule_id)
-    return PruneDecision(KEEP)
+            return PruneDecision(rule_id)
+    return PruneDecision()

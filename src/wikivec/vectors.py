@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Columns scored per block in ``VectorSet.top_rows``; bounds its score memory.
+_TILE = 16384
+
 
 class NotInVocabulary(KeyError):
     """A queried token has no vector; ``tokens`` lists the offenders."""
@@ -30,8 +33,9 @@ class NotInVocabulary(KeyError):
 class VectorSet:
     """Immutable token -> vector mapping with cosine queries.
 
-    ``frequency_ranked`` declares that row order is frequency order; rank of
-    a token is then its row index.  Sets built ad hoc may leave it False.
+    ``frequency_ranked`` declares that row order is frequency order, so the
+    first ``cap`` rows are the ``cap`` most frequent tokens.  Sets built ad hoc
+    may leave it False.
     """
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray,
@@ -50,6 +54,7 @@ class VectorSet:
                 raise ValueError(f"duplicate token {token!r}")
             self._index[token] = i
         self._unit: np.ndarray | None = None
+        self._zero: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -70,32 +75,13 @@ class VectorSet:
     def get(self, token: str) -> np.ndarray:
         return self.matrix[self.row(token)]
 
-    def rank(self, token: str) -> int:
-        if not self.frequency_ranked:
-            raise ValueError("vector set carries no frequency ranks")
-        return self.row(token)
-
-    def top(self, cap: int) -> "VectorSet":
-        """The ``cap`` highest-frequency rows as a new set (requires ranks)."""
-        if not self.frequency_ranked:
-            raise ValueError("vector set carries no frequency ranks")
-        cap = min(cap, len(self.tokens))
-        sub = VectorSet.__new__(VectorSet)
-        sub.tokens = self.tokens[:cap]
-        sub.matrix = self.matrix[:cap]
-        sub.frequency_ranked = True
-        sub._index = {t: i for i, t in enumerate(sub.tokens)}
-        # Slicing the parent's unit rows equals normalising the slice, so each
-        # set is normalised once however many caps it is cut to.
-        sub._unit = self.unit_matrix()[:cap]
-        return sub
-
     def unit_matrix(self) -> np.ndarray:
         """Row-normalised matrix; zero-norm rows stay zero (and never win queries)."""
         if self._unit is None:
             norms = np.linalg.norm(self.matrix, axis=1, keepdims=True)
             safe = np.where(norms == 0.0, 1.0, norms)
             self._unit = self.matrix / safe
+            self._zero = ~self.matrix.any(axis=1)
         return self._unit
 
     def cosine(self, token_a: str, token_b: str) -> float:
@@ -105,37 +91,54 @@ class VectorSet:
         unit = self.unit_matrix()
         return float(unit[self._index[token_a]] @ unit[self._index[token_b]])
 
-    def _scores(self, query: np.ndarray, exclude: Iterable[str]) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must have shape ({self.dim},)")
-        norm = np.linalg.norm(query)
-        if norm == 0.0:
-            raise ValueError("zero-norm query vector has no direction")
+    def top_rows(self, queries: np.ndarray, k: int, exclude: np.ndarray,
+                 limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per unit query row, the ``k`` best cosine rows of ``unit_matrix()[:limit]``.
+
+        ``exclude[i]`` lists rows query ``i`` may not return; zero-norm rows
+        are never returned either.  Rows are scored in column tiles of
+        ``_TILE``, so memory grows with ``len(queries) * _TILE``, not with the
+        limit.  Returns ``(rows, scores)``, best first, ties to the earlier
+        row; a slot with no candidate left scores ``-inf``.
+        """
         unit = self.unit_matrix()
-        scores = unit @ (query / norm)
-        # Zero-norm stored vectors are skipped, as are excluded tokens.
-        zero_rows = np.all(self.matrix == 0.0, axis=1)
-        scores[zero_rows] = -np.inf
-        for token in exclude:
-            idx = self._index.get(token)
-            if idx is not None:
-                scores[idx] = -np.inf
-        return scores
+        n = len(self) if limit is None else min(limit, len(self))
+        best_rows = np.empty((len(queries), 0), dtype=np.intp)
+        best_scores = np.empty((len(queries), 0))
+        for start in range(0, n, _TILE):
+            stop = min(start + _TILE, n)
+            scores = queries @ unit[start:stop].T
+            scores[:, self._zero[start:stop]] = -np.inf
+            hit, col = np.nonzero((exclude >= start) & (exclude < stop))
+            scores[hit, exclude[hit, col] - start] = -np.inf
+            if k == 1:
+                picked = scores.argmax(axis=1)[:, None]
+            else:
+                picked = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            # Earlier rows come first, so a stable sort keeps ties on them.
+            rows = np.hstack([best_rows, picked + start])
+            cand = np.hstack([best_scores, np.take_along_axis(scores, picked, axis=1)])
+            keep = np.argsort(-cand, axis=1, kind="stable")[:, :k]
+            best_rows = np.take_along_axis(rows, keep, axis=1)
+            best_scores = np.take_along_axis(cand, keep, axis=1)
+        return best_rows, best_scores
 
     def nearest(self, query: np.ndarray, k: int = 10,
                 exclude: Iterable[str] = ()) -> list[tuple[str, float]]:
         """Exhaustive cosine top-k; ties break toward the earlier token."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        scores = self._scores(query, exclude)
-        order = np.argsort(-scores, kind="stable")
-        out: list[tuple[str, float]] = []
-        for idx in order[:k]:
-            if scores[idx] == -np.inf:
-                break
-            out.append((self.tokens[idx], float(scores[idx])))
-        return out
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query must have shape ({self.dim},)")
+        norm = np.linalg.norm(query)
+        if norm == 0.0:
+            raise ValueError("zero-norm query vector has no direction")
+        banned = np.array([[self._index[t] for t in exclude if t in self._index]],
+                          dtype=np.intp)
+        rows, scores = self.top_rows((query / norm)[None, :], k, banned)
+        return [(self.tokens[r], float(s)) for r, s in zip(rows[0], scores[0])
+                if s > -np.inf]
 
     def analogy_query(self, a: str, b: str, c: str) -> str:
         """The token nearest to vec(b) - vec(a) + vec(c), excluding a, b, c."""

@@ -146,6 +146,23 @@ def spearman_fraction(x: Sequence[float], y: Sequence[float]) -> float:
     return float(num) / math.sqrt(float(sxx) * float(syy))
 
 
+def top_k_cosine(matrix, query: Sequence[float], k: int,
+                 exclude=()) -> list[tuple[int, float]]:
+    """Brute-force cosine top-k as (row, score) pairs, best first.
+
+    Rows in ``exclude`` and zero rows are skipped; equal scores keep row order,
+    because Python's sort is stable.
+    """
+    def norm(v):
+        return math.sqrt(sum(a * a for a in v))
+
+    qn = norm(query)
+    scored = [(i, dot(row, query) / (norm(row) * qn)) for i, row in enumerate(matrix)
+              if i not in exclude and norm(row) != 0.0]
+    scored.sort(key=lambda pair: -pair[1])
+    return scored[:k]
+
+
 def analogy_predictions(tokens: Sequence[str], matrix,
                         questions) -> list[tuple[bool, bool]]:
     """Brute-force (found, correct) per question over a token/matrix table.
@@ -156,10 +173,6 @@ def analogy_predictions(tokens: Sequence[str], matrix,
     """
     index = {t: i for i, t in enumerate(tokens)}
     rows = [list(r) for r in matrix]
-
-    def norm(v):
-        return math.sqrt(sum(a * a for a in v))
-
     results = []
     for a, b, c, d in questions:
         if any(t not in index for t in (a, b, c, d)):
@@ -167,24 +180,11 @@ def analogy_predictions(tokens: Sequence[str], matrix,
             continue
         va, vb, vc = rows[index[a]], rows[index[b]], rows[index[c]]
         query = [vb[k] - va[k] + vc[k] for k in range(len(va))]
-        qn = norm(query)
-        if qn == 0.0:
+        if not any(query):
             results.append((True, False))
             continue
-        best_i = -1
-        best = -math.inf
-        banned = {index[a], index[b], index[c]}
-        for i, row in enumerate(rows):
-            if i in banned:
-                continue
-            rn = norm(row)
-            if rn == 0.0:
-                continue
-            score = dot(row, query) / (rn * qn)
-            if score > best:
-                best = score
-                best_i = i
-        results.append((True, best_i == index[d]))
+        best = top_k_cosine(rows, query, 1, exclude={index[a], index[b], index[c]})
+        results.append((True, bool(best) and best[0][0] == index[d]))
     return results
 
 

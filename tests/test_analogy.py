@@ -12,6 +12,7 @@ from wikivec.evaluation.analogy import (
     eval_analogy_commons,
     load_analogy_questions,
 )
+from wikivec import vectors
 from wikivec.vectors import VectorSet
 
 
@@ -82,6 +83,62 @@ def test_correctness_matches_brute_force_oracle():
                                    [q.tokens for q in questions])
         assert report.found == sum(f for f, _ in want)
         assert report.correct == sum(c for _, c in want)
+
+
+def test_eval_analogy_matches_oracle_across_tiles_and_caps(monkeypatch):
+    monkeypatch.setattr(vectors, "_TILE", 4)
+    rng = np.random.default_rng(29)
+    tokens = [f"w{i}" for i in range(30)]
+    for _ in range(10):
+        matrix = rng.normal(size=(30, 5))
+        matrix[rng.choice(30, size=3, replace=False)] = 0.0
+        vset = VectorSet(tokens, matrix, frequency_ranked=True)
+        questions = [AnalogyQuestion(*(tokens[i] for i in rng.choice(30, 4, replace=False)))
+                     for _ in range(40)]
+        caps = [5, 13, 30, 99]
+        for cap, report in zip(caps, eval_analogy(vset, questions, caps)):
+            want = analogy_predictions(tokens[:cap], matrix[:cap].tolist(),
+                                       [q.tokens for q in questions])
+            assert (report.found, report.correct) == (sum(f for f, _ in want),
+                                                      sum(c for _, c in want))
+
+
+def test_analogy_query_agrees_with_eval_analogy_question_by_question(monkeypatch):
+    monkeypatch.setattr(vectors, "_TILE", 3)
+    rng = np.random.default_rng(31)
+    tokens = [f"w{i}" for i in range(20)]
+    for _ in range(15):
+        vset = VectorSet(tokens, rng.normal(size=(20, 3)), frequency_ranked=True)
+        a, b, c = (tokens[i] for i in rng.choice(20, 3, replace=False))
+        # One question per candidate d: exactly the predicted one is correct.
+        answer = vset.analogy_query(a, b, c)
+        for d in tokens:
+            if d in (a, b, c):
+                continue
+            (report,) = eval_analogy(vset, [AnalogyQuestion(a, b, c, d)], [20])
+            assert report.correct == (d == answer)
+
+
+def test_each_set_is_normalised_once_across_buckets(monkeypatch):
+    normalised, calls = [], []
+    unit_matrix = VectorSet.unit_matrix
+
+    def counting(vset):
+        calls.append(vset)
+        if vset._unit is None:
+            normalised.append(vset)
+        return unit_matrix(vset)
+    monkeypatch.setattr(VectorSet, "unit_matrix", counting)
+    questions = [AnalogyQuestion("man", "king", "woman", "queen"),
+                 AnalogyQuestion("man", "king", "boy", "prince")]
+    vset = _quad_set()
+    eval_analogy(vset, questions, [4, 6, 7])
+    assert len(calls) == 3 and normalised == [vset]
+    sets = [_quad_set(), _quad_set()]
+    calls.clear()
+    normalised.clear()
+    eval_analogy_commons(sets, questions, [4, 6, 7])
+    assert len(calls) == 6 and normalised == sets
 
 
 def test_prediction_tie_breaks_toward_earlier_token():

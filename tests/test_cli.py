@@ -164,6 +164,14 @@ def test_similar_unknown_token_is_runtime_error(trained, capsys):
     assert json.loads(stderr)["error"] == "NotInVocabulary"
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_similar_bad_k_is_usage_error_before_loading(tmp_path, capsys, k):
+    code, _, stderr = run_cli(capsys, "similar", "--vectors", tmp_path / "missing.txt",
+                              "--token", "alpha", "-k", k)
+    assert code == 2
+    assert "-k" in json.loads(stderr)["message"]
+
+
 def test_analogy_command_prints_answer(tmp_path, capsys):
     path = tmp_path / "quads.txt"
     save_text(VectorSet(
@@ -224,7 +232,8 @@ def test_eval_analogy_commons_needs_two_sets(quad_vectors, capsys):
 def test_eval_analogy_commons_runs_with_two_sets(quad_vectors, tmp_path, capsys):
     vectors, questions = quad_vectors
     small = tmp_path / "small.txt"
-    save_text(load_text(vectors).top(4), small)
+    full = load_text(vectors)
+    save_text(VectorSet(full.tokens[:4], full.matrix[:4]), small)
     code, stdout, _ = run_cli(capsys, "eval", "analogy", "--vectors", vectors,
                               "--vectors", small, "--questions", questions,
                               "--buckets", "6", "--commons")
@@ -240,6 +249,17 @@ def test_eval_analogy_bad_buckets(quad_vectors, capsys):
                               "--questions", questions, "--buckets", "abc")
     assert code == 2
     assert "bucket" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("buckets", ["0", "4,-1"])
+def test_eval_analogy_caps_below_one_are_usage_errors_before_loading(tmp_path, capsys,
+                                                                     buckets):
+    code, _, stderr = run_cli(capsys, "eval", "analogy",
+                              "--vectors", tmp_path / "missing.txt",
+                              "--questions", tmp_path / "missing_questions.txt",
+                              "--buckets", buckets)
+    assert code == 2
+    assert "bucket caps must be >= 1" in json.loads(stderr)["message"]
 
 
 # --- eval similarity --------------------------------------------------------
@@ -299,7 +319,8 @@ def test_eval_similarity_common_subset(sim_setup, tmp_path, capsys):
     vectors, senses, pairs = sim_setup
     # Second set lacks "book"/"paper": the shared subset is the other 2 pairs.
     small = tmp_path / "small_vecs.txt"
-    save_text(load_text(vectors).top(4), small)
+    full = load_text(vectors)
+    save_text(VectorSet(full.tokens[:4], full.matrix[:4]), small)
     code, stdout, _ = run_cli(capsys, "eval", "similarity", "--vectors", vectors,
                               "--vectors", small, "--pairs", pairs,
                               "--sense-index", senses, "--common-subset")

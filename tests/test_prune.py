@@ -3,7 +3,7 @@
 import pytest
 
 from wikivec.ingest.dump import PageRecord
-from wikivec.ingest.prune import DISCARD, KEEP, RULE_IDS, prune_page
+from wikivec.ingest.prune import PRUNE_RULES, prune_page
 
 from conftest import FIXTURE_VERDICTS
 
@@ -19,16 +19,16 @@ def test_fixture_verdicts_match_hand_labels(fixture_pages):
         decision = prune_page(page)
         if expected_rule is None:
             assert decision.keep, f"page {page.page_id} ({page.title}) wrongly discarded"
-            assert decision.verdict == KEEP and decision.rule_id is None
+            assert decision.rule_id is None
         else:
-            assert decision.verdict == DISCARD, f"page {page.page_id} wrongly kept"
+            assert not decision.keep, f"page {page.page_id} wrongly kept"
             assert decision.rule_id == expected_rule, (
                 f"page {page.page_id}: {decision.rule_id} != {expected_rule}")
 
 
 def test_every_rule_fires_at_least_once_on_the_fixture(fixture_pages):
     fired = {prune_page(p).rule_id for p in fixture_pages} - {None}
-    assert fired == set(RULE_IDS)
+    assert fired == {rule_id for rule_id, _ in PRUNE_RULES}
 
 
 def test_redirect_outranks_title_prefixes():

@@ -1,28 +1,12 @@
-"""Rank statistics: average ranks and the rank correlation."""
+"""Rank statistics: the rank correlation against an exact oracle."""
 
 import math
 import random
 
 import pytest
 
-from oracles import average_ranks_fraction, spearman_fraction
-from wikivec.evaluation.stats import average_ranks, spearman
-
-
-def test_average_ranks_hand_cases():
-    assert average_ranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
-    assert average_ranks([3.0, 1.0, 2.0]).tolist() == [3.0, 1.0, 2.0]
-    assert average_ranks([5.0, 5.0, 5.0]).tolist() == [2.0, 2.0, 2.0]
-    assert average_ranks([7.0]).tolist() == [1.0]
-
-
-def test_average_ranks_matches_fraction_oracle():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 30)
-        values = [float(rng.randint(0, 6)) for _ in range(n)]
-        want = [float(f) for f in average_ranks_fraction(values)]
-        assert average_ranks(values).tolist() == want
+from oracles import spearman_fraction
+from wikivec.evaluation.stats import spearman
 
 
 def test_spearman_perfect_and_inverted():
@@ -71,3 +55,5 @@ def test_spearman_input_validation():
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="two"):
         spearman([1.0], [1.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        spearman([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import top_k_cosine
+from wikivec import vectors
+from wikivec.evaluation.analogy import eval_analogy, eval_analogy_commons
 from wikivec.vectors import NotInVocabulary, VectorSet, load_text, save_text
 
 
@@ -96,30 +99,86 @@ def test_analogy_query_excludes_inputs():
         vset.analogy_query("man", "king", "princess")
 
 
-def test_rank_and_top_require_frequency_order():
+def test_frequency_ranked_guards_analogy_evaluation():
     plain = _basis_set(frequency_ranked=False)
-    with pytest.raises(ValueError, match="frequency"):
-        plain.rank("east")
-    with pytest.raises(ValueError, match="frequency"):
-        plain.top(3)
     ranked = _basis_set(frequency_ranked=True)
-    assert ranked.rank("up") == 2
-    sub = ranked.top(2)
-    assert list(sub.tokens) == ["east", "north"]
-    assert len(ranked.top(99)) == 5
+    assert not plain.frequency_ranked
+    with pytest.raises(ValueError, match="frequency"):
+        eval_analogy(plain, [], [3])
+    with pytest.raises(ValueError, match="frequency"):
+        eval_analogy_commons([ranked, plain], [], [3])
 
 
-def test_top_shares_the_parent_unit_rows():
-    rng = np.random.default_rng(3)
-    matrix = rng.normal(size=(40, 6))
-    matrix[7] = 0.0
-    vset = VectorSet([f"t{i}" for i in range(40)], matrix, frequency_ranked=True)
-    for cap in (1, 8, 25, 40):
-        alone = VectorSet(vset.tokens[:cap], matrix[:cap]).unit_matrix()
-        sub_unit = vset.top(cap).unit_matrix()
-        assert np.array_equal(sub_unit, alone)
-        # Cut from the parent's rows, not normalised again.
-        assert np.shares_memory(sub_unit, vset.unit_matrix())
+@pytest.fixture()
+def small_tiles(monkeypatch):
+    """Score three rows per tile, so every query below crosses tiles."""
+    monkeypatch.setattr(vectors, "_TILE", 3)
+
+
+def _tokens(n):
+    return [f"t{i}" for i in range(n)]
+
+
+def test_equal_best_scores_in_two_tiles_go_to_the_earlier_token(small_tiles):
+    # Rows 1 (first tile) and 4 (second tile) are the same best direction.
+    matrix = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, -1.0],
+                       [-1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    vset = VectorSet(_tokens(6), matrix)
+    assert vset.nearest(np.array([3.0, 0.0]), k=1)[0][0] == "t1"
+    assert [t for t, _ in vset.nearest(np.array([3.0, 0.0]), k=3)] == ["t1", "t4", "t5"]
+    rows, scores = vset.top_rows(np.array([[1.0, 0.0], [1.0, 0.0]]), 1,
+                                 np.array([[0], [1]]))
+    assert rows[:, 0].tolist() == [1, 4]
+    assert scores[:, 0].tolist() == [1.0, 1.0]
+
+
+def test_excluded_token_in_a_later_tile_is_skipped(small_tiles):
+    # Best t4 (second tile), then t7 (third tile), then t1 (first tile).
+    matrix = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, -1.0],
+                       [-1.0, 0.0], [1.0, 0.0], [-1.0, -1.0],
+                       [-1.0, 1.0], [3.0, 1.0], [0.0, 0.0]])
+    vset = VectorSet(_tokens(9), matrix)
+    query = np.array([1.0, 0.0])
+    assert vset.nearest(query, k=1, exclude=["t4"])[0][0] == "t7"
+    assert [t for t, _ in vset.nearest(query, k=2, exclude=["t7", "t4"])] == ["t1", "t0"]
+
+
+def test_zero_rows_are_never_returned(small_tiles):
+    # Every live row points away from the query, so a zero row (cosine 0)
+    # would beat them all if it were scored.
+    matrix = np.array([[0.0, 0.0], [-1.0, 0.5], [-1.0, -2.0],
+                       [0.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    vset = VectorSet(_tokens(7), matrix)
+    hits = vset.nearest(np.array([1.0, 0.0]), k=10)
+    assert [t for t, _ in hits] == ["t2", "t1", "t4"]
+    _, scores = vset.top_rows(np.array([[1.0, 0.0]]), 1, np.array([[1, 2, 4]]))
+    assert scores[0, 0] == -np.inf
+
+
+def test_nearest_matches_the_brute_force_oracle(small_tiles):
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n, dim = int(rng.integers(1, 40)), 4
+        if trial % 2:
+            # Signed basis rows and zero rows: each score is plus or minus one
+            # query component, so equal scores tie exactly in both codes.
+            matrix = np.zeros((n, dim))
+            live = rng.random(n) < 0.85
+            matrix[live, rng.integers(0, dim, size=live.sum())] = \
+                rng.choice([-1.0, 1.0], size=live.sum())
+            query = rng.integers(-3, 4, size=dim).astype(float)
+            if not query.any():
+                query[0] = 1.0
+        else:
+            matrix = rng.normal(size=(n, dim))
+            query = rng.normal(size=dim)
+        vset = VectorSet(_tokens(n), matrix)
+        exclude = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        k = int(rng.integers(1, n + 3))
+        got = vset.nearest(query, k=k, exclude=[f"t{i}" for i in exclude])
+        want = top_k_cosine(matrix.tolist(), query.tolist(), k, exclude)
+        assert [t for t, _ in got] == [f"t{i}" for i, _ in want]
+        assert [s for _, s in got] == pytest.approx([s for _, s in want], abs=1e-12)
 
 
 def test_save_load_round_trip_with_header(tmp_path):

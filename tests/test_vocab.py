@@ -18,7 +18,7 @@ def test_counts_and_min_count_filter(tmp_path):
     assert vocab.tokens == ["a", "b", "wiki_7"]
     assert vocab.counts.tolist() == [4, 2, 2]
     assert "c" not in vocab
-    assert vocab.frequency("a") == 4
+    assert vocab.counts[vocab.index["a"]] == 4
     assert vocab.total_tokens == 8
 
 
