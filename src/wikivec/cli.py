@@ -256,14 +256,25 @@ def _parse_buckets(spec: str) -> list[int]:
     return buckets
 
 
+def _report_names(paths: Sequence[Path], what: str) -> list[str]:
+    """File stems, which name report rows; two files with one stem are a usage error."""
+    seen: dict[str, Path] = {}
+    for path in paths:
+        if path.stem in seen:
+            raise UsageError(f"{what} files {seen[path.stem]} and {path} share the name "
+                             f"{path.stem!r}; report names are file stems and must be distinct")
+        seen[path.stem] = path
+    return list(seen)
+
+
 def _cmd_eval_analogy(options: dict) -> int:
     paths = [Path(p) for p in options["vectors"]]
     buckets = _parse_buckets(options["buckets"])
+    names = _report_names(paths, "--vectors")
     if options["commons"] and len(paths) < 2:
         raise UsageError("--commons needs at least two --vectors sets")
     started = time.monotonic()
     sets = [load_text(p) for p in paths]
-    names = [p.stem for p in paths]
     questions = load_analogy_questions(options["questions"])
     if options["commons"]:
         all_reports = eval_analogy_commons(sets, questions, buckets)
@@ -318,7 +329,12 @@ def _cmd_eval_similarity(options: dict) -> int:
         raise UsageError("--scorer vectors needs at least one --vectors file")
     started = time.monotonic()
     files = _dataset_files(options["pairs"])
-    datasets = {p.stem: load_similarity_pairs(p) for p in files}
+    dataset_names = _report_names(files, "dataset")
+    paths = [Path(p) for p in options.get("vectors") or []]
+    set_names = _report_names(paths, "--vectors")
+    if scorer_kind == "vectors" and options["common_subset"] and len(paths) < 2:
+        raise UsageError("--common-subset needs at least two --vectors sets")
+    datasets = {name: load_similarity_pairs(p) for name, p in zip(dataset_names, files)}
     sense_index = load_sense_index(options["sense_index"])
     inputs: list = [*files, options["sense_index"]]
 
@@ -342,12 +358,9 @@ def _cmd_eval_similarity(options: dict) -> int:
             rows.append({"set": "linkgraph", "dataset": name, "pairs": rep.pairs_total,
                          "not_found": rep.not_found, "rho": rep.rho})
     else:
-        paths = [Path(p) for p in options["vectors"]]
-        sets = {p.stem: load_text(p) for p in paths}
+        sets = {name: load_text(p) for name, p in zip(set_names, paths)}
         inputs.extend(paths)
         if options["common_subset"]:
-            if len(sets) < 2:
-                raise UsageError("--common-subset needs at least two --vectors sets")
             report = common_subset_eval(sets, datasets, sense_index)
             header = "dataset\tpairs\t" + "\t".join(report.set_names)
             print(header)

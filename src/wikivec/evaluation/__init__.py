@@ -10,7 +10,7 @@ from wikivec.evaluation.analogy import (
 from wikivec.evaluation.senses import SenseIndex, build_sense_index, load_sense_index
 from wikivec.evaluation.similarity import (
     CommonSubsetReport,
-    SimilarityPair,
+    SimilarityDataset,
     SimilarityReport,
     common_subset_eval,
     eval_similarity,
@@ -23,7 +23,7 @@ __all__ = [
     "AnalogyReport",
     "CommonSubsetReport",
     "SenseIndex",
-    "SimilarityPair",
+    "SimilarityDataset",
     "SimilarityReport",
     "build_sense_index",
     "common_subset_eval",

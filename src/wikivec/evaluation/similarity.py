@@ -5,13 +5,19 @@ most-frequent-sense mapping is replaced by its concept token, the rest stay
 lowercased words.  A pair is *found* only if both resulting tokens have
 vectors; the score is Spearman rho between cosine similarities and the human
 ratings over found pairs.
+
+Each dataset maps every distinct surface once and scores its found pairs in
+whole arrays, one gather per vector set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
+
+import numpy as np
 
 from wikivec.evaluation.senses import SenseIndex
 from wikivec.evaluation.stats import spearman
@@ -19,11 +25,16 @@ from wikivec.ingest.corpus import CONCEPT_PREFIX
 from wikivec.vectors import VectorSet
 
 
-@dataclass(frozen=True, slots=True)
-class SimilarityPair:
-    surface_a: str
-    surface_b: str
-    human_score: float
+@dataclass(slots=True)
+class SimilarityDataset:
+    """One dataset file as columns: pair ``i`` is ``surface_a[i]``, ``surface_b[i]``."""
+
+    surface_a: list[str]
+    surface_b: list[str]
+    human: np.ndarray  # float64, one human score per pair
+
+    def __len__(self) -> int:
+        return len(self.human)
 
 
 @dataclass(slots=True)
@@ -57,9 +68,14 @@ class CommonSubsetReport:
         return out
 
 
-def load_similarity_pairs(path: str | Path) -> list[SimilarityPair]:
-    """Read ``term<SEP>term<SEP>score`` rows; SEP is a tab, else a comma."""
-    pairs: list[SimilarityPair] = []
+def load_similarity_pairs(path: str | Path) -> SimilarityDataset:
+    """Read ``term<SEP>term<SEP>score`` rows; SEP is a tab, else a comma.
+
+    Scores must be finite numbers.
+    """
+    surface_a: list[str] = []
+    surface_b: list[str] = []
+    human: list[float] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -75,8 +91,12 @@ def load_similarity_pairs(path: str | Path) -> list[SimilarityPair]:
                 score = float(parts[2])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad score {parts[2]!r}") from None
-            pairs.append(SimilarityPair(parts[0].strip(), parts[1].strip(), score))
-    return pairs
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: line {lineno}: non-finite score {parts[2]!r}")
+            surface_a.append(parts[0].strip())
+            surface_b.append(parts[1].strip())
+            human.append(score)
+    return SimilarityDataset(surface_a, surface_b, np.array(human, dtype=np.float64))
 
 
 def map_surface(sense_index: SenseIndex, surface: str) -> str:
@@ -87,42 +107,47 @@ def map_surface(sense_index: SenseIndex, surface: str) -> str:
     return " ".join(surface.split()).lower()
 
 
-def eval_similarity(vset: VectorSet | None, pairs: Sequence[SimilarityPair],
+def _map_dataset(dataset: SimilarityDataset,
+                 sense_index: SenseIndex) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Mapped token of each distinct surface, and each pair's two surface codes."""
+    codes: dict[str, int] = {}
+    code_a = np.fromiter((codes.setdefault(s, len(codes)) for s in dataset.surface_a),
+                         dtype=np.intp, count=len(dataset))
+    code_b = np.fromiter((codes.setdefault(s, len(codes)) for s in dataset.surface_b),
+                         dtype=np.intp, count=len(dataset))
+    tokens = [map_surface(sense_index, surface) for surface in codes]
+    return tokens, code_a, code_b
+
+
+def eval_similarity(vset: VectorSet | None, pairs: SimilarityDataset,
                     sense_index: SenseIndex, dataset: str = "",
                     scorer: Callable[[str, str], float | None] | None = None) -> SimilarityReport:
     """Score one dataset; rho is None when fewer than 2 pairs are found.
 
     ``scorer`` overrides the cosine between mapped tokens (used by the link
-    baseline); found-ness always means both mapped tokens are scoreable.
+    baseline) and is called once per pair; found-ness always means both mapped
+    tokens are scoreable.
     """
     if scorer is None and vset is None:
         raise ValueError("need a vector set or an explicit scorer")
-    system: list[float] = []
-    human: list[float] = []
-    not_found = 0
-    for pair in pairs:
-        token_a = map_surface(sense_index, pair.surface_a)
-        token_b = map_surface(sense_index, pair.surface_b)
-        if scorer is None:
-            if token_a in vset and token_b in vset:
-                system.append(vset.cosine(token_a, token_b))
-            else:
-                not_found += 1
-                continue
-        else:
-            score = scorer(token_a, token_b)
-            if score is None:
-                not_found += 1
-                continue
-            system.append(score)
-        human.append(pair.human_score)
-    rho = spearman(system, human) if len(system) >= 2 else None
+    tokens, code_a, code_b = _map_dataset(pairs, sense_index)
+    if scorer is None:
+        rows = vset.rows(tokens)
+        rows_a, rows_b = rows[code_a], rows[code_b]
+        found = (rows_a >= 0) & (rows_b >= 0)
+        system = vset.pair_cosines(rows_a[found], rows_b[found])
+    else:
+        scores = [scorer(tokens[a], tokens[b])
+                  for a, b in zip(code_a.tolist(), code_b.tolist())]
+        found = np.array([score is not None for score in scores], dtype=bool)
+        system = np.array([score for score in scores if score is not None], dtype=np.float64)
+    rho = spearman(system, pairs.human[found]) if len(system) >= 2 else None
     return SimilarityReport(dataset=dataset, pairs_total=len(pairs),
-                            not_found=not_found, rho=rho)
+                            not_found=len(pairs) - len(system), rho=rho)
 
 
 def common_subset_eval(sets: Mapping[str, VectorSet],
-                       datasets: Mapping[str, Sequence[SimilarityPair]],
+                       datasets: Mapping[str, SimilarityDataset],
                        sense_index: SenseIndex) -> CommonSubsetReport:
     """Per dataset, keep only pairs every set finds, then score each set on those.
 
@@ -131,20 +156,19 @@ def common_subset_eval(sets: Mapping[str, VectorSet],
     """
     report = CommonSubsetReport(set_names=list(sets))
     for name, pairs in datasets.items():
-        shared: list[SimilarityPair] = []
-        for pair in pairs:
-            token_a = map_surface(sense_index, pair.surface_a)
-            token_b = map_surface(sense_index, pair.surface_b)
-            if all(token_a in vset and token_b in vset for vset in sets.values()):
-                shared.append(pair)
-        if len(shared) < 2:
+        tokens, code_a, code_b = _map_dataset(pairs, sense_index)
+        rows = {set_name: vset.rows(tokens) for set_name, vset in sets.items()}
+        shared = np.ones(len(pairs), dtype=bool)
+        for set_rows in rows.values():
+            shared &= (set_rows[code_a] >= 0) & (set_rows[code_b] >= 0)
+        n_shared = int(np.count_nonzero(shared))
+        if n_shared < 2:
             report.skipped.append(name)
             continue
-        row: dict[str, float] = {}
-        for set_name, vset in sets.items():
-            human = [p.human_score for p in shared]
-            system = [vset.cosine(map_surface(sense_index, p.surface_a),
-                                  map_surface(sense_index, p.surface_b)) for p in shared]
-            row[set_name] = spearman(system, human)
-        report.rows.append((name, len(shared), row))
+        shared_a, shared_b = code_a[shared], code_b[shared]
+        human = pairs.human[shared]
+        row = {set_name: spearman(vset.pair_cosines(rows[set_name][shared_a],
+                                                    rows[set_name][shared_b]), human)
+               for set_name, vset in sets.items()}
+        report.rows.append((name, n_shared, row))
     return report

@@ -17,6 +17,8 @@ import numpy as np
 
 # Columns scored per block in ``VectorSet.top_rows``; bounds its score memory.
 _TILE = 16384
+# Pairs gathered per block in ``VectorSet.pair_cosines``; bounds its gather memory.
+_PAIR_BLOCK = 4096
 
 
 class NotInVocabulary(KeyError):
@@ -72,6 +74,11 @@ class VectorSet:
         except KeyError:
             raise NotInVocabulary([token]) from None
 
+    def rows(self, tokens: Iterable[str]) -> np.ndarray:
+        """Row of each token, -1 where the set has no vector for it."""
+        index = self._index
+        return np.fromiter((index.get(t, -1) for t in tokens), dtype=np.intp)
+
     def get(self, token: str) -> np.ndarray:
         return self.matrix[self.row(token)]
 
@@ -88,8 +95,24 @@ class VectorSet:
         missing = [t for t in (token_a, token_b) if t not in self._index]
         if missing:
             raise NotInVocabulary(missing)
+        rows = self.rows((token_a, token_b))
+        return float(self.pair_cosines(rows[:1], rows[1:])[0])
+
+    def pair_cosines(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Cosine of each row pair ``(rows_a[i], rows_b[i])``.
+
+        Each block of pairs is one gather from ``unit_matrix()`` and one
+        row-wise dot product.  A pair's score depends only on its two rows, not
+        on its position or block, and ``(a, b)`` scores bit-equal to ``(b, a)``:
+        equal pairs stay tied when ranked.
+        """
         unit = self.unit_matrix()
-        return float(unit[self._index[token_a]] @ unit[self._index[token_b]])
+        out = np.empty(len(rows_a))
+        for start in range(0, len(rows_a), _PAIR_BLOCK):
+            stop = start + _PAIR_BLOCK
+            out[start:stop] = np.einsum("ij,ij->i", unit[rows_a[start:stop]],
+                                        unit[rows_b[start:stop]])
+        return out
 
     def top_rows(self, queries: np.ndarray, k: int, exclude: np.ndarray,
                  limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +177,12 @@ class VectorSet:
 
 def save_text(vset: VectorSet, path: str | Path, header: bool = True) -> None:
     """Write the text format (six significant digits per value)."""
+    row_format = " ".join(["%.6g"] * vset.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         if header:
             out.write(f"{len(vset)} {vset.dim}\n")
-        for token, row in zip(vset.tokens, vset.matrix):
-            out.write(token + " " + " ".join(f"{x:.6g}" for x in row) + "\n")
+        for token, row in zip(vset.tokens, vset.matrix.tolist()):
+            out.write(token + " " + row_format % tuple(row) + "\n")
 
 
 def _parse_header(line: str) -> tuple[int, int] | None:
@@ -173,7 +197,50 @@ def _parse_header(line: str) -> tuple[int, int] | None:
 
 
 def load_text(path: str | Path) -> VectorSet:
-    """Read either format variant; row order is taken as frequency order."""
+    """Read either format variant; row order is taken as frequency order.
+
+    All values are parsed in one ``np.loadtxt`` call.  A file that call does
+    not read cleanly is read again line by line, which names the first
+    offending line in its error.
+    """
+    parsed = _load_columns(path)
+    tokens, matrix = parsed if parsed is not None else _load_lines(path)
+    return VectorSet(tokens, matrix, frequency_ranked=True)
+
+
+def _load_columns(path: str | Path) -> tuple[list[str], np.ndarray] | None:
+    """Tokens and matrix of a well-formed, non-empty file; None for anything else."""
+    tokens: list[str] = []
+    values: list[str] = []
+    declared: tuple[int, int] | None = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.split(None, 1)
+            if lineno == 1 and parts:
+                declared = _parse_header(line)
+                if declared is not None:
+                    continue
+            if len(parts) == 1:
+                return None
+            if parts:
+                tokens.append(parts[0])
+                values.append(parts[1])
+    if not tokens:
+        return None
+    try:
+        matrix = np.loadtxt(values, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    dim = matrix.shape[1] if declared is None else declared[1]
+    if (matrix.shape != (len(tokens), dim)
+            or (declared is not None and declared[0] != len(tokens))
+            or not np.isfinite(matrix).all() or len(set(tokens)) != len(tokens)):
+        return None
+    return tokens, matrix
+
+
+def _load_lines(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Read one line at a time; raises naming the first bad line."""
     tokens: list[str] = []
     rows: list[np.ndarray] = []
     declared: tuple[int, int] | None = None
@@ -215,4 +282,4 @@ def load_text(path: str | Path) -> VectorSet:
     if dim is None:
         raise ValueError(f"{path}: empty vector file")
     matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-    return VectorSet(tokens, matrix, frequency_ranked=True)
+    return tokens, matrix

@@ -248,3 +248,45 @@ def matching_close(text: str, start: int, open_mark: str, close_mark: str) -> in
         else:
             i += 1
     return -1
+
+
+def read_vector_text(path) -> tuple[list[str], list[list[float]]]:
+    """Tokens and rows of a text vector file, read straight from the format.
+
+    Lines end at LF, CRLF or CR, and fields are separated by any whitespace.
+    Whitespace-only lines are skipped.  The first line is a ``<count> <dim>``
+    header when it holds exactly two integers; every other non-blank line is a
+    token followed by its values.  Raises ValueError for a file no row-for-row
+    reading could accept (unequal or missing values, repeated tokens,
+    non-finite values, a header count that does not match).
+    """
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+    def is_int(field: str) -> bool:
+        try:
+            int(field)
+        except ValueError:
+            return False
+        return True
+
+    header = None
+    tokens: list[str] = []
+    rows: list[list[float]] = []
+    for number, line in enumerate(lines):
+        fields = line.split()
+        if not fields:
+            continue
+        if number == 0 and len(fields) == 2 and all(is_int(f) for f in fields):
+            header = (int(fields[0]), int(fields[1]))
+            continue
+        tokens.append(fields[0])
+        rows.append([float(f) for f in fields[1:]])
+    dim = header[1] if header else len(rows[0]) if rows else 0
+    if (dim == 0 or any(len(row) != dim for row in rows)
+            or len(set(tokens)) != len(tokens)
+            or not all(math.isfinite(x) for row in rows for x in row)
+            or (header is not None and header[0] != len(tokens))):
+        raise ValueError("malformed vector file")
+    return tokens, rows

@@ -262,6 +262,17 @@ def test_eval_analogy_caps_below_one_are_usage_errors_before_loading(tmp_path, c
     assert "bucket caps must be >= 1" in json.loads(stderr)["message"]
 
 
+def test_eval_analogy_duplicate_set_names_are_usage_errors_before_loading(tmp_path, capsys):
+    # Report rows are named by file stem; both files here would be "v".
+    first, second = tmp_path / "a" / "v.txt", tmp_path / "b" / "v.txt"
+    code, _, stderr = run_cli(capsys, "eval", "analogy", "--vectors", first,
+                              "--vectors", second, "--questions", tmp_path / "q.txt",
+                              "--commons")
+    assert code == 2
+    message = json.loads(stderr)["message"]
+    assert str(first) in message and str(second) in message
+
+
 # --- eval similarity --------------------------------------------------------
 
 
@@ -338,6 +349,26 @@ def test_eval_similarity_common_subset_needs_two_sets(sim_setup, capsys):
                               "--common-subset")
     assert code == 2
     assert "two" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("option, common_subset", [("--vectors", False),
+                                                   ("--vectors", True),
+                                                   ("--pairs", False)])
+def test_eval_similarity_duplicate_names_are_usage_errors_before_loading(
+        sim_setup, tmp_path, capsys, option, common_subset):
+    # Sets and datasets are named by file stem; neither pair of files exists,
+    # so exit 2 also shows that nothing was loaded.
+    vectors, senses, pairs = sim_setup
+    first, second = tmp_path / "a" / "same.txt", tmp_path / "b" / "same.txt"
+    argv = ["eval", "similarity", "--sense-index", senses, option, first, option, second]
+    argv += ["--pairs", pairs] if option == "--vectors" else ["--vectors", vectors]
+    if common_subset:
+        argv.append("--common-subset")
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    message = json.loads(stderr)["message"]
+    assert str(first) in message and str(second) in message
+    assert "distinct" in message
 
 
 def test_eval_similarity_linkgraph_route(tmp_path, capsys):

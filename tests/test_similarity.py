@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import DATA
+from oracles import dot, spearman_fraction
+from wikivec.evaluation import similarity
 from wikivec.evaluation.senses import build_sense_index
 from wikivec.evaluation.similarity import (
-    SimilarityPair,
+    SimilarityDataset,
     SimilarityReport,
     common_subset_eval,
     eval_similarity,
@@ -21,26 +23,37 @@ from wikivec.vectors import VectorSet
 EMPTY_SENSES = build_sense_index([])
 
 
+def _dataset(*rows):
+    """A dataset from ``(surface_a, surface_b, human)`` rows."""
+    a, b, human = zip(*rows) if rows else ((), (), ())
+    return SimilarityDataset(list(a), list(b), np.array(human, dtype=np.float64))
+
+
 def test_load_tab_separated():
     pairs = load_similarity_pairs(DATA / "sim_tab.tsv")
     assert len(pairs) == 4
-    assert pairs[0] == SimilarityPair("Paris", "France", 7.5)
-    assert pairs[1].surface_a == "machine learning"
+    assert (pairs.surface_a[0], pairs.surface_b[0], pairs.human[0]) == ("Paris", "France", 7.5)
+    assert pairs.surface_a[1] == "machine learning"
+    assert pairs.human.dtype == np.float64
 
 
 def test_load_comma_separated():
     pairs = load_similarity_pairs(DATA / "sim_comma.csv")
-    assert pairs == [
-        SimilarityPair("paris", "france", 7.5),
-        SimilarityPair("car", "automobile", 8.94),
-    ]
+    assert pairs.surface_a == ["paris", "car"]
+    assert pairs.surface_b == ["france", "automobile"]
+    assert pairs.human.tolist() == [7.5, 8.94]
 
 
-def test_load_errors_carry_line_numbers():
+def test_load_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_similarity_pairs(DATA / "sim_bad.csv")
     with pytest.raises(ValueError, match="bad score"):
         load_similarity_pairs(DATA / "sim_bad_score.csv")
+    for value in ("nan", "inf", "-Infinity"):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text(f"tiger,cat,7.35\nparis,france,{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="nonfinite.csv: line 2: non-finite score"):
+            load_similarity_pairs(nonfinite)
 
 
 def test_map_surface_routes_through_senses():
@@ -74,7 +87,7 @@ def test_eval_similarity_matches_hand_spearman():
     cosines = [0.9, 0.1, 0.5, 0.3]
     human = [8.0, 3.0, 4.0, 6.0]
     vset = _diagonal_set(tokens, cosines)
-    pairs = [SimilarityPair("ref", t, h) for t, h in zip(tokens, human)]
+    pairs = _dataset(*(("ref", t, h) for t, h in zip(tokens, human)))
     report = eval_similarity(vset, pairs, EMPTY_SENSES, dataset="hand")
     assert report.dataset == "hand"
     assert (report.pairs_total, report.not_found, report.found) == (4, 0, 4)
@@ -85,12 +98,8 @@ def test_eval_similarity_matches_hand_spearman():
 
 def test_eval_similarity_counts_missing_pairs():
     vset = _diagonal_set(["a", "b", "c"], [0.9, 0.5, 0.1])
-    pairs = [
-        SimilarityPair("ref", "a", 9.0),
-        SimilarityPair("ref", "zzz", 5.0),
-        SimilarityPair("ref", "b", 4.0),
-        SimilarityPair("ref", "c", 1.0),
-    ]
+    pairs = _dataset(("ref", "a", 9.0), ("ref", "zzz", 5.0), ("ref", "b", 4.0),
+                     ("ref", "c", 1.0))
     report = eval_similarity(vset, pairs, EMPTY_SENSES)
     assert (report.pairs_total, report.not_found, report.found) == (4, 1, 3)
     assert report.rho == pytest.approx(1.0, abs=1e-12)
@@ -98,7 +107,7 @@ def test_eval_similarity_counts_missing_pairs():
 
 def test_eval_similarity_rho_none_below_two_found():
     vset = _diagonal_set(["a"], [0.5])
-    pairs = [SimilarityPair("ref", "a", 5.0), SimilarityPair("ref", "xx", 2.0)]
+    pairs = _dataset(("ref", "a", 5.0), ("ref", "xx", 2.0))
     report = eval_similarity(vset, pairs, EMPTY_SENSES)
     assert report.found == 1
     assert report.rho is None
@@ -110,11 +119,8 @@ def test_eval_similarity_scorer_route():
     def scorer(a, b):
         return table.get((a, b))
 
-    pairs = [
-        SimilarityPair("Paris", "France", 9.0),
-        SimilarityPair("Tiger", "Cat", 5.0),
-        SimilarityPair("book", "paper", 4.0),  # scorer returns None: not found
-    ]
+    pairs = _dataset(("Paris", "France", 9.0), ("Tiger", "Cat", 5.0),
+                     ("book", "paper", 4.0))  # scorer returns None: not found
     report = eval_similarity(None, pairs, EMPTY_SENSES, scorer=scorer)
     assert (report.pairs_total, report.not_found) == (3, 1)
     assert report.rho == pytest.approx(1.0, abs=1e-12)
@@ -122,17 +128,14 @@ def test_eval_similarity_scorer_route():
 
 def test_eval_similarity_needs_vectors_or_scorer():
     with pytest.raises(ValueError, match="scorer"):
-        eval_similarity(None, [], EMPTY_SENSES)
+        eval_similarity(None, _dataset(), EMPTY_SENSES)
 
 
 def test_common_subset_keeps_only_shared_pairs():
     big = _diagonal_set(["a", "b", "c"], [0.9, 0.5, 0.1])
     small = _diagonal_set(["a", "b"], [0.2, 0.8])
-    pairs = [
-        SimilarityPair("ref", "a", 9.0),
-        SimilarityPair("ref", "b", 5.0),
-        SimilarityPair("ref", "c", 1.0),  # missing from `small`: dropped
-    ]
+    pairs = _dataset(("ref", "a", 9.0), ("ref", "b", 5.0),
+                     ("ref", "c", 1.0))  # missing from `small`: dropped
     report = common_subset_eval({"big": big, "small": small},
                                 {"ds": pairs}, EMPTY_SENSES)
     assert report.set_names == ["big", "small"]
@@ -147,7 +150,7 @@ def test_common_subset_keeps_only_shared_pairs():
 def test_common_subset_skips_datasets_without_enough_shared_pairs():
     big = _diagonal_set(["a", "b"], [0.9, 0.5])
     tiny = _diagonal_set(["a"], [0.9])
-    pairs = [SimilarityPair("ref", "a", 9.0), SimilarityPair("ref", "b", 5.0)]
+    pairs = _dataset(("ref", "a", 9.0), ("ref", "b", 5.0))
     report = common_subset_eval({"big": big, "tiny": tiny}, {"ds": pairs},
                                 EMPTY_SENSES)
     assert report.rows == []
@@ -158,3 +161,75 @@ def test_common_subset_skips_datasets_without_enough_shared_pairs():
 def test_report_found_property():
     report = SimilarityReport(dataset="x", pairs_total=10, not_found=3, rho=0.5)
     assert report.found == 7
+
+
+def _counting_map_surface(monkeypatch):
+    """Replace ``map_surface`` with a wrapper that records each surface it maps."""
+    seen = []
+    real = similarity.map_surface
+
+    def counted(sense_index, surface):
+        seen.append(surface)
+        return real(sense_index, surface)
+
+    monkeypatch.setattr(similarity, "map_surface", counted)
+    return seen
+
+
+def test_each_distinct_surface_is_mapped_once_per_dataset(monkeypatch):
+    seen = _counting_map_surface(monkeypatch)
+    vset = _diagonal_set(["a", "b", "c"], [0.9, 0.5, 0.1])
+    small = _diagonal_set(["a", "b"], [0.2, 0.8])
+    pairs = _dataset(("ref", "a", 9.0), ("a", "ref", 8.0), ("ref", "b", 5.0),
+                     ("b", "c", 4.0), ("ref", "a", 7.0), ("ref", "zzz", 1.0))
+    distinct = {"ref", "a", "b", "c", "zzz"}
+
+    eval_similarity(vset, pairs, EMPTY_SENSES)
+    assert sorted(seen) == sorted(distinct)
+
+    seen.clear()
+    eval_similarity(None, pairs, EMPTY_SENSES, scorer=lambda a, b: 0.5)
+    assert sorted(seen) == sorted(distinct)
+
+    # One mapping per dataset, shared by every set.
+    seen.clear()
+    common_subset_eval({"big": vset, "small": small, "again": vset},
+                       {"one": pairs, "two": pairs}, EMPTY_SENSES)
+    assert sorted(seen) == sorted([*distinct, *distinct])
+
+
+def _oracle_cosine(u, v):
+    return dot(u, v) / (math.sqrt(dot(u, u)) * math.sqrt(dot(v, v)))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 13, 16, 300])
+def test_equal_pairs_score_bit_equal_and_rho_matches_the_oracle(dim):
+    # Few tokens fill many pair slots, so most cosines are repeats; a repeat
+    # scored one ulp apart would split a tie and move rho.
+    rng = np.random.default_rng(dim)
+    tokens = [f"t{i}" for i in range(8)]
+    matrix = rng.normal(size=(len(tokens), dim))
+    vset = VectorSet(tokens, matrix)
+    first = rng.integers(0, len(tokens), size=600)
+    second = (first + rng.integers(1, len(tokens), size=600)) % len(tokens)
+    human = rng.integers(0, 5, size=600).astype(float)
+
+    scores = vset.pair_cosines(first, second)
+    swapped = vset.pair_cosines(second, first)
+    assert np.array_equal(scores, swapped)
+    by_pair = {}
+    for a, b, score in zip(first.tolist(), second.tolist(), scores.tolist()):
+        assert by_pair.setdefault((min(a, b), max(a, b)), score) == score
+    assert vset.cosine("t0", "t1") == vset.pair_cosines(np.array([1]), np.array([0]))[0]
+
+    pairs = _dataset(*((tokens[a], tokens[b], h)
+                       for a, b, h in zip(first.tolist(), second.tolist(), human)))
+    report = eval_similarity(vset, pairs, EMPTY_SENSES)
+    want = spearman_fraction([_oracle_cosine(matrix[a].tolist(), matrix[b].tolist())
+                              for a, b in zip(first.tolist(), second.tolist())],
+                             human.tolist())
+    assert report.found == 600
+    assert report.rho == pytest.approx(want, abs=1e-12)
+
+    shared = common_subset_eval({"x": vset, "y": vset}, {"ds": pairs}, EMPTY_SENSES)
+    assert shared.rows[0][2]["x"] == shared.rows[0][2]["y"] == report.rho

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import top_k_cosine
+from oracles import read_vector_text, top_k_cosine
 from wikivec import vectors
 from wikivec.evaluation.analogy import eval_analogy, eval_analogy_commons
 from wikivec.vectors import NotInVocabulary, VectorSet, load_text, save_text
@@ -268,3 +269,128 @@ def test_header_detection_requires_exactly_two_integers(tmp_path):
     loaded = load_text(floatish)
     assert loaded.tokens == ("1.5",)
     assert loaded.matrix.tolist() == [[2.0]]
+
+
+# --- text format: properties against the pure-Python reader -----------------
+
+# Tokens: any printable text without whitespace, '#' and digits included.
+vector_tokens = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    min_size=1, max_size=6).filter(lambda t: t.split() == [t])
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vector_sets(draw):
+    dim = draw(st.integers(1, 5))
+    tokens = draw(st.lists(vector_tokens, min_size=1, max_size=8, unique=True))
+    rows = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return VectorSet(tokens, np.array(rows, dtype=np.float64).reshape(len(tokens), dim))
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_sets(), st.booleans())
+def test_save_load_keeps_tokens_and_six_digit_values(tmp_path_factory, vset, header):
+    # Without a header, a first row that is two integers reads as one.
+    assume(header or not (vset.dim == 1 and _is_int(vset.tokens[0])))
+    folder = tmp_path_factory.mktemp("roundtrip")
+    first, second = folder / "first.txt", folder / "second.txt"
+    save_text(vset, first, header=header)
+    loaded = load_text(first)
+    assert loaded.tokens == vset.tokens
+    want = [[float(f"{x:.6g}") for x in row] for row in vset.matrix.tolist()]
+    assert loaded.matrix.tolist() == want
+    assert read_vector_text(first) == (list(vset.tokens), want)
+    save_text(loaded, second, header=header)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def vector_file_texts(draw):
+    """Valid files with mixed separators, line ends, indents and blank lines."""
+    dim = draw(st.integers(1, 4))
+    tokens = draw(st.lists(vector_tokens, min_size=1, max_size=6, unique=True))
+    assume(dim != 1 or not _is_int(tokens[0]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{len(tokens)} {dim}"] if draw(st.booleans()) else []
+    for token in tokens:
+        values = draw(st.lists(st.sampled_from(["0", "-1", "2.5", "1e-3", "+7", "-0.125",
+                                                "3.14159", "1E4"]),
+                               min_size=dim, max_size=dim))
+        fields = [token, *values]
+        line = draw(st.sampled_from(["", " ", "\t", "  "]))
+        for field in fields:
+            line += field + draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(line)
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_file_texts())
+def test_load_reads_format_variants_as_the_reference_does(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("variants") / "vecs.txt"
+    path.write_bytes(text.encode("utf-8"))
+    tokens, rows = read_vector_text(path)
+    loaded = load_text(path)
+    assert list(loaded.tokens) == tokens
+    assert loaded.matrix.tolist() == rows
+
+
+@pytest.mark.parametrize("text", [
+    "# 1 2\n#a 3 4\n",                    # '#' is part of a token, not a comment
+    "2 2\r\n\r\nx\t1\t2\r\n  y 3 4\r\n",  # CRLF, blank line, tabs, indent
+    "\n2 2\nx 1\n",                        # blank first line: "2 2" is a row
+    "a 1_0 2\nb \u0661 3\n",                # values float() reads but np.loadtxt does not
+])
+def test_load_matches_the_reference_on_edge_files(tmp_path, text):
+    path = tmp_path / "edge.txt"
+    path.write_bytes(text.encode("utf-8"))
+    tokens, rows = read_vector_text(path)
+    loaded = load_text(path)
+    assert list(loaded.tokens) == tokens
+    assert loaded.matrix.tolist() == rows
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a 1 2 3\nb 1 2\n", "line 2: expected 3 values, found 2"),
+    ("2 3\na 1 2 3\nb 1 2\n", "line 3: expected 3 values, found 2"),
+    ("2 3\na 1 2\nb 3 4\n", "line 2: expected 3 values, found 2"),
+    ("a\n", "line 1: no vector values"),
+    ("a 1\nb\n", "line 2: expected 1 values, found 0"),
+    ("a 1 2\nb 1 oops\n", "line 2: bad float: could not convert string to float: 'oops'"),
+    ("a 1 2\nb 1 0x1p3\n", "line 2: bad float: could not convert string to float: '0x1p3'"),
+    ("b 1 2\na nan 1\n", "line 2: non-finite value (nan or inf)"),
+    ("b 1 2\na 1e999 1\n", "line 2: non-finite value (nan or inf)"),
+    ("a 1 2\nb 3 4\na 3 4\n", "line 3: duplicate token 'a'"),
+    ("3 2\na 1 2\n", "header declares 3 vectors, file has 1"),
+    ("1 2\na 1 2\nb 3 4\n", "header declares 1 vectors, file has 2"),
+    ("\n  \n", "empty vector file"),
+])
+def test_malformed_files_raise_the_line_by_line_message(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_text(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_well_formed_files_skip_the_line_by_line_reader(tmp_path, monkeypatch):
+    def fail(path):
+        raise AssertionError("line-by-line reader used on a well-formed file")
+
+    monkeypatch.setattr(vectors, "_load_lines", fail)
+    for header in (True, False):
+        path = tmp_path / f"vecs-{header}.txt"
+        save_text(_basis_set(), path, header=header)
+        assert load_text(path).tokens == _basis_set().tokens
