@@ -342,17 +342,10 @@ def _cmd_eval_similarity(options: dict) -> int:
     if scorer_kind == "linkgraph":
         graph = load_graph(options["graph"])
         inputs.append(options["graph"])
-
-        def scorer(token_a: str, token_b: str) -> float | None:
-            page_a, page_b = parse_concept(token_a), parse_concept(token_b)
-            if page_a is None or page_b is None or page_a not in graph or page_b not in graph:
-                return None
-            return link_similarity(graph, page_a, page_b)
-
         print("# link baseline")
         print("dataset\tpairs\tnot_found\trho")
         for name, pairs in datasets.items():
-            rep = eval_similarity(None, pairs, sense_index, dataset=name, scorer=scorer)
+            rep = eval_similarity(None, pairs, sense_index, dataset=name, scorer=graph)
             rho = "-" if rep.rho is None else f"{rep.rho:.4f}"
             print(f"{name}\t{rep.pairs_total}\t{rep.not_found}\t{rho}")
             rows.append({"set": "linkgraph", "dataset": name, "pairs": rep.pairs_total,

@@ -7,7 +7,8 @@ vectors; the score is Spearman rho between cosine similarities and the human
 ratings over found pairs.
 
 Each dataset maps every distinct surface once and scores its found pairs in
-whole arrays, one gather per vector set.
+whole arrays: one gather per vector set, or one batched call for the link
+baseline.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from wikivec.evaluation.senses import SenseIndex
 from wikivec.evaluation.stats import spearman
-from wikivec.ingest.corpus import CONCEPT_PREFIX
+from wikivec.ingest.corpus import CONCEPT_PREFIX, parse_concept
+from wikivec.linkgraph import LinkGraph
 from wikivec.vectors import VectorSet
 
 
@@ -101,10 +103,9 @@ def load_similarity_pairs(path: str | Path) -> SimilarityDataset:
 
 def map_surface(sense_index: SenseIndex, surface: str) -> str:
     """Concept token when the surface has a most-frequent sense, else the word."""
-    page_id = sense_index.lookup(surface)
-    if page_id is not None:
-        return f"{CONCEPT_PREFIX}{page_id}"
-    return " ".join(surface.split()).lower()
+    key = " ".join(surface.split()).lower()  # the sense index's key
+    entry = sense_index.mapping.get(key)
+    return f"{CONCEPT_PREFIX}{entry[0]}" if entry else key
 
 
 def _map_dataset(dataset: SimilarityDataset,
@@ -121,26 +122,23 @@ def _map_dataset(dataset: SimilarityDataset,
 
 def eval_similarity(vset: VectorSet | None, pairs: SimilarityDataset,
                     sense_index: SenseIndex, dataset: str = "",
-                    scorer: Callable[[str, str], float | None] | None = None) -> SimilarityReport:
+                    scorer: LinkGraph | None = None) -> SimilarityReport:
     """Score one dataset; rho is None when fewer than 2 pairs are found.
 
-    ``scorer`` overrides the cosine between mapped tokens (used by the link
-    baseline) and is called once per pair; found-ness always means both mapped
-    tokens are scoreable.
+    With a link graph as ``scorer`` (the link baseline), a pair is scored by
+    link similarity instead of cosine and is found when both mapped tokens
+    are concepts whose pages are in the graph.
     """
     if scorer is None and vset is None:
-        raise ValueError("need a vector set or an explicit scorer")
+        raise ValueError("need a vector set or a link graph scorer")
     tokens, code_a, code_b = _map_dataset(pairs, sense_index)
     if scorer is None:
-        rows = vset.rows(tokens)
-        rows_a, rows_b = rows[code_a], rows[code_b]
-        found = (rows_a >= 0) & (rows_b >= 0)
-        system = vset.pair_cosines(rows_a[found], rows_b[found])
+        rows, score = vset.rows(tokens), vset.pair_cosines
     else:
-        scores = [scorer(tokens[a], tokens[b])
-                  for a, b in zip(code_a.tolist(), code_b.tolist())]
-        found = np.array([score is not None for score in scores], dtype=bool)
-        system = np.array([score for score in scores if score is not None], dtype=np.float64)
+        rows, score = scorer.rows([parse_concept(t) for t in tokens]), scorer.pair_scores
+    rows_a, rows_b = rows[code_a], rows[code_b]
+    found = (rows_a >= 0) & (rows_b >= 0)
+    system = score(rows_a[found], rows_b[found])
     rho = spearman(system, pairs.human[found]) if len(system) >= 2 else None
     return SimilarityReport(dataset=dataset, pairs_total=len(pairs),
                             not_found=len(pairs) - len(system), rho=rho)

@@ -176,7 +176,14 @@ class VectorSet:
 
 
 def save_text(vset: VectorSet, path: str | Path, header: bool = True) -> None:
-    """Write the text format (six significant digits per value)."""
+    """Write the text format (six significant digits per value).
+
+    Without the header, a one-value first row whose token is an integer would
+    read back as a ``<count> <dim>`` header, so such a set is refused.
+    """
+    if not header and vset.dim == 1 and len(vset) and _is_int(vset.tokens[0]):
+        raise ValueError(f"{path}: first token {vset.tokens[0]!r} with one value would "
+                         "read back as a '<count> <dim>' header; write the header")
     row_format = " ".join(["%.6g"] * vset.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         if header:
@@ -185,15 +192,19 @@ def save_text(vset: VectorSet, path: str | Path, header: bool = True) -> None:
             out.write(token + " " + row_format % tuple(row) + "\n")
 
 
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_header(line: str) -> tuple[int, int] | None:
     parts = line.split()
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(map(_is_int, parts)):
         return None
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    return count, dim
+    return int(parts[0]), int(parts[1])
 
 
 def load_text(path: str | Path) -> VectorSet:

@@ -228,6 +228,60 @@ def link_side_score(size_a: int, size_b: int, overlap: int, total: int) -> float
     return min(1.0, max(0.0, score))
 
 
+def link_sets(graph) -> tuple[frozenset[int], dict[int, frozenset[int]],
+                             dict[int, frozenset[int]]]:
+    """Page ids and each page's out-link and in-link page-id sets, read off a
+    LinkGraph's CSR arrays (row ``i`` out-links, row ``n + i`` in-links)."""
+    pages, indptr, indices = graph.pages.tolist(), graph.indptr.tolist(), graph.indices.tolist()
+    n = len(pages)
+
+    def side(first_row: int) -> dict[int, frozenset[int]]:
+        return {page: frozenset(pages[j] for j in indices[indptr[first_row + i]:
+                                                           indptr[first_row + i + 1]])
+                for i, page in enumerate(pages)}
+
+    return frozenset(pages), side(0), side(n)
+
+
+def link_score(out_links: Mapping[int, frozenset[int]], in_links: Mapping[int, frozenset[int]],
+               total: int, a: int, b: int) -> float:
+    """Link similarity of pages ``a`` and ``b`` from their link sets."""
+    sides = [link_side_score(len(links[a]), len(links[b]), len(links[a] & links[b]), total)
+             for links in (in_links, out_links)]
+    return (sides[0] + sides[1]) / 2.0
+
+
+def resolve_redirects(articles: Mapping[str, int], redirects: Mapping[str, str]
+                      ) -> tuple[dict[str, int], int, int]:
+    """Title -> final article id, the number of redirect cycles, and the number
+    of other redirects that reach no article, by walking every chain.
+
+    Keys are canonical titles; a title that is an article is never followed.
+    A redirect on a cycle is not dangling; one whose chain ends in a cycle or
+    outside the titles is.
+    """
+    mapping = dict(articles)
+    cycles: set[frozenset[str]] = set()
+    dangling = 0
+    for start in redirects:
+        if start in articles:
+            continue
+        chain = [start]
+        while chain[-1] in redirects and chain[-1] not in articles:
+            following = redirects[chain[-1]]
+            if following in chain:
+                cycles.add(frozenset(chain[chain.index(following):]))
+                break
+            chain.append(following)
+        else:
+            if chain[-1] in articles:
+                mapping[start] = articles[chain[-1]]
+                continue
+        if not any(start in cycle for cycle in cycles):
+            dangling += 1
+    return mapping, len(cycles), dangling
+
+
 def matching_close(text: str, start: int, open_mark: str, close_mark: str) -> int:
     """Index just past the close balancing the open at ``start``; -1 if unbalanced.
 

@@ -23,6 +23,7 @@ from conftest import (
 from oracles import (
     fd_gradients,
     link_side_score,
+    link_sets,
     most_frequent_sense,
     spearman_fraction,
 )
@@ -332,14 +333,15 @@ def test_criterion_08_link_baseline():
         density = float(rng.uniform(0.05, 0.4))
         out_links = {p: [q for q in pages if q != p and rng.random() < density]
                      for p in pages}
-        graph = LinkGraph(pages, out_links)
+        graph = LinkGraph.from_links(pages, out_links)
         for _ in range(10):
             a, b = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
             ab = link_similarity(graph, a, b)
             assert ab == link_similarity(graph, b, a)
             assert 0.0 <= ab <= 1.0
         a = int(rng.integers(1, n + 1))
-        sides_present = bool(graph.in_links[a]) + bool(graph.out_links[a])
+        _, out_sets, in_sets = link_sets(graph)
+        sides_present = bool(in_sets[a]) + bool(out_sets[a])
         assert link_similarity(graph, a, a) == sides_present / 2.0
 
     # Worked example: page 1 with 10 neighbours, page 2 with 5, sharing 5, in
@@ -351,10 +353,11 @@ def test_criterion_08_link_baseline():
     for target in range(16, 21):
         out_links[2].add(target)
         out_links[target].add(2)
-    graph = LinkGraph(range(1, 101), {p: sorted(s) for p, s in out_links.items()})
-    assert len(graph.out_links[1]) == 10
-    assert len(graph.out_links[2]) == 5
-    assert len(graph.out_links[1] & graph.out_links[2]) == 5
+    graph = LinkGraph.from_links(range(1, 101), {p: sorted(s) for p, s in out_links.items()})
+    _, out_sets, _ = link_sets(graph)
+    assert len(out_sets[1]) == 10
+    assert len(out_sets[2]) == 5
+    assert len(out_sets[1] & out_sets[2]) == 5
     got = link_similarity(graph, 1, 2)
     closed_form = 1.0 - (math.log(10) - math.log(5)) / (math.log(100) - math.log(5))
     assert abs(got - closed_form) < 1e-9

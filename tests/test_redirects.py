@@ -1,5 +1,8 @@
 """Title normalisation and redirect-chain collapsing."""
 
+from hypothesis import given, settings, strategies as st
+
+from oracles import resolve_redirects
 from wikivec.ingest.dump import PageRecord
 from wikivec.ingest.redirects import build_redirect_map, normalize_title
 
@@ -81,3 +84,34 @@ def test_fixture_redirect_facts(fixture_scan):
     assert redirects.resolve("Loop B") is None
     assert redirects.cycles == 1
     assert redirects.dangling == 0
+
+
+@st.composite
+def redirect_pages(draw):
+    """Pages "Page 0".."Page n-1", each an article or a redirect to any title,
+    "Page n" and above being missing; targets are spelled in several ways."""
+    n = draw(st.integers(1, 12))
+    is_article = draw(st.lists(st.sampled_from([True, False, False]), min_size=n, max_size=n))
+    targets = draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n))
+    pages, articles, redirects = [], {}, {}
+    for i, (article, target) in enumerate(zip(is_article, targets)):
+        title = f"Page {i}"
+        if article:
+            pages.append(_article(i + 1, title))
+            articles[title] = i + 1
+        else:
+            spelling = draw(st.sampled_from(["Page {}", "page_{}", "  page   {} ", "Page_{}"]))
+            pages.append(_redirect(i + 1, title, spelling.format(target)))
+            redirects[title] = f"Page {target}"
+    return pages, articles, redirects
+
+
+@settings(max_examples=300, deadline=None)
+@given(redirect_pages())
+def test_random_redirect_graphs_match_the_chain_walking_reference(case):
+    pages, articles, redirects = case
+    rmap = build_redirect_map(pages)
+    mapping, cycles, dangling = resolve_redirects(articles, redirects)
+    assert set(rmap.mapping.values()) <= set(articles.values())
+    assert rmap.mapping == mapping
+    assert (rmap.cycles, rmap.dangling) == (cycles, dangling)

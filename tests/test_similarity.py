@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DATA
 from oracles import dot, spearman_fraction
@@ -18,6 +19,7 @@ from wikivec.evaluation.similarity import (
     map_surface,
 )
 from wikivec.evaluation.stats import spearman
+from wikivec.linkgraph import LinkGraph
 from wikivec.vectors import VectorSet
 
 EMPTY_SENSES = build_sense_index([])
@@ -61,6 +63,38 @@ def test_map_surface_routes_through_senses():
     assert map_surface(senses, "Paris") == "wiki_1"
     assert map_surface(senses, "Machine   Learning") == "wiki_5"
     assert map_surface(senses, "Rare Phrase") == "rare phrase"
+
+
+def _lookup_then_normalise(sense_index, surface):
+    """``map_surface`` as two steps: the index's own lookup, then the plain word."""
+    page_id = sense_index.lookup(surface)
+    if page_id is not None:
+        return f"wiki_{page_id}"
+    return " ".join(surface.split()).lower()
+
+
+phrase_words = st.lists(st.text(alphabet="abzAZéÉİßΣς", min_size=1, max_size=4),
+                        min_size=1, max_size=3)
+
+
+@st.composite
+def surface_variants(draw, words):
+    """``words`` joined by any whitespace, padded, in any case."""
+    gaps = [draw(st.sampled_from(["", " ", "  ", "\t", "\n", " \t ", "\u3000"]))
+            for _ in range(len(words) + 1)]
+    gaps[1:-1] = [gap or " " for gap in gaps[1:-1]]
+    text = gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
+    return draw(st.sampled_from([str, str.upper, str.lower, str.title, str.swapcase]))(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(st.tuples(phrase_words, st.integers(0, 30)), max_size=5),
+       phrase_words)
+def test_map_surface_matches_lookup_then_normalise(data, entries, stranger):
+    senses = build_sense_index((" ".join(words), page) for words, page in entries)
+    for words in [*(words for words, _ in entries), stranger]:
+        surface = data.draw(surface_variants(words))
+        assert map_surface(senses, surface) == _lookup_then_normalise(senses, surface)
 
 
 def _diagonal_set(tokens, scores):
@@ -114,14 +148,14 @@ def test_eval_similarity_rho_none_below_two_found():
 
 
 def test_eval_similarity_scorer_route():
-    table = {("paris", "france"): 0.9, ("tiger", "cat"): 0.4}
-
-    def scorer(a, b):
-        return table.get((a, b))
-
+    # Out-links 1 -> {2, 5} and 2 -> {1, 5} share page 5; pages 3 and 4 share
+    # no neighbour on either side, so Paris-France outscores Tiger-Cat.
+    graph = LinkGraph.from_links([1, 2, 3, 4, 5], {1: [2, 5], 2: [1, 5], 3: [5], 4: [1]})
+    senses = build_sense_index([("paris", 1), ("france", 2), ("tiger", 3), ("cat", 4),
+                                ("paper", 9)])
     pairs = _dataset(("Paris", "France", 9.0), ("Tiger", "Cat", 5.0),
-                     ("book", "paper", 4.0))  # scorer returns None: not found
-    report = eval_similarity(None, pairs, EMPTY_SENSES, scorer=scorer)
+                     ("book", "paper", 4.0))  # no concept, no graph page: not found
+    report = eval_similarity(None, pairs, senses, scorer=graph)
     assert (report.pairs_total, report.not_found) == (3, 1)
     assert report.rho == pytest.approx(1.0, abs=1e-12)
 
@@ -188,7 +222,7 @@ def test_each_distinct_surface_is_mapped_once_per_dataset(monkeypatch):
     assert sorted(seen) == sorted(distinct)
 
     seen.clear()
-    eval_similarity(None, pairs, EMPTY_SENSES, scorer=lambda a, b: 0.5)
+    eval_similarity(None, pairs, EMPTY_SENSES, scorer=LinkGraph.from_links([1], {}))
     assert sorted(seen) == sorted(distinct)
 
     # One mapping per dataset, shared by every set.
