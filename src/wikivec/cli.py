@@ -1,10 +1,12 @@
 """Command-line plumbing for the whole pipeline.
 
 Subcommands: ingest, train, similar, analogy, eval analogy, eval similarity,
-baseline build, baseline sim, stats.  Options resolve flag > config file >
-default.  Commands that write artifacts also write a ``<out>.manifest.json``
-recording the config and sha256 digests of inputs and outputs; usage errors
-exit 2, runtime failures exit 1 with a JSON error object on stderr.
+baseline build, baseline sim, stats.  Each option is declared once, in
+``_COMMANDS``; options resolve flag > config file > default, and a config
+value is converted and checked as its flag would be.  Commands that write
+artifacts also write a ``<out>.manifest.json`` recording the config and sha256
+digests of inputs and outputs; usage errors exit 2, runtime failures exit 1
+with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from wikivec.embedding.model import TrainingConfig, init_model
 from wikivec.embedding.train import train as train_model
@@ -36,145 +38,6 @@ class UsageError(Exception):
     """Contradictory or incomplete options; exits with code 2."""
 
 
-_DEFAULTS: dict[str, dict] = {
-    "ingest": {"mode": "standard", "workers": 1, "stats": None, "anchor_stats": None},
-    "train": {"dim": 300, "window": 10, "negative": 5, "epochs": 5, "min_count": 5,
-              "lr": 0.025, "subsample": 1e-5, "seed": 1, "workers": 1, "init": None},
-    "similar": {"k": 10},
-    "analogy": {},
-    "eval analogy": {"buckets": "30000,300000,3000000", "commons": False, "out": None},
-    "eval similarity": {"common_subset": False, "out": None, "graph": None,
-                        "scorer": "vectors"},
-    "baseline build": {},
-    "baseline sim": {},
-    "stats": {},
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wikivec",
-        description="Concept-annotated corpora, embeddings, and their evaluations.")
-    parser.add_argument("--config", help="JSON file with option defaults", default=None)
-    parser.add_argument("--log-level", dest="log_level", type=str.upper, default=None,
-                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
-                        help="print log records of this level and above to stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    p = sub.add_parser("ingest", help="compile a dump into a training corpus")
-    p.add_argument("--dump", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["standard", "heuristic", "anchors-only"], default=S)
-    p.add_argument("--workers", type=int, default=S)
-    p.add_argument("--stats", default=S, help="stats JSON path (default <out>.stats.json)")
-    p.add_argument("--anchor-stats", dest="anchor_stats", default=S,
-                   help="write aggregated anchor statistics TSV here")
-
-    p = sub.add_parser("train", help="train embeddings on a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=S)
-    p.add_argument("--window", type=int, default=S)
-    p.add_argument("--negative", type=int, default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--min-count", dest="min_count", type=int, default=S)
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--subsample", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--workers", type=int, default=S)
-    p.add_argument("--init", default=S, help="warm-start from this vector file")
-
-    p = sub.add_parser("similar", help="nearest tokens to a query token")
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--token", required=True)
-    p.add_argument("-k", type=int, default=S)
-
-    p = sub.add_parser("analogy", help="a:b :: c:? by vector offset")
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-
-    ev = sub.add_parser("eval", help="evaluation protocols")
-    ev_sub = ev.add_subparsers(dest="eval_command", required=True)
-
-    p = ev_sub.add_parser("analogy", help="bucketed analogy accuracy")
-    p.add_argument("--vectors", action="append", required=True,
-                   help="vector file; repeat for several sets")
-    p.add_argument("--questions", required=True)
-    p.add_argument("--buckets", default=S, help="comma-separated frequency caps")
-    p.add_argument("--commons", action="store_true", default=S,
-                   help="score on the intersection of found questions")
-    p.add_argument("--out", default=S, help="report prefix (writes .tsv and .json)")
-
-    p = ev_sub.add_parser("similarity", help="phrase similarity vs human scores")
-    p.add_argument("--vectors", action="append", default=S,
-                   help="vector file; repeat for several sets")
-    p.add_argument("--pairs", action="append", required=True,
-                   help="dataset file or directory; repeat as needed")
-    p.add_argument("--sense-index", dest="sense_index", required=True)
-    p.add_argument("--common-subset", dest="common_subset", action="store_true", default=S)
-    p.add_argument("--graph", default=S, help="link graph (with --scorer linkgraph)")
-    p.add_argument("--scorer", choices=["vectors", "linkgraph"], default=S)
-    p.add_argument("--out", default=S, help="report prefix (writes .tsv and .json)")
-
-    base = sub.add_parser("baseline", help="link-structure baseline")
-    base_sub = base.add_subparsers(dest="baseline_command", required=True)
-
-    p = base_sub.add_parser("build", help="extract the kept-page link graph")
-    p.add_argument("--dump", required=True)
-    p.add_argument("--out", required=True)
-
-    p = base_sub.add_parser("sim", help="relatedness of two page ids")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = sub.add_parser("stats", help="summarise a corpus file")
-    p.add_argument("--corpus", required=True)
-
-    return parser
-
-
-def _option_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Dests of the options of every subcommand below ``parser``."""
-    keys: set[str] = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                keys |= _option_keys(sub)
-                keys.update(a.dest for a in sub._actions if a.option_strings and a.dest != "help")
-    return keys
-
-
-def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                     command: str) -> dict:
-    """flag > config file > built-in default.
-
-    A config file may set any option of any subcommand, so one file can serve
-    the whole pipeline; a key no subcommand defines is a usage error.
-    """
-    options = dict(_DEFAULTS.get(command, {}))
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
-            raise UsageError(f"{config_path}: config must be a JSON object")
-        known = _option_keys(parser).union(*_DEFAULTS.values())
-        unknown = sorted(key for key in loaded if key.replace("-", "_") not in known)
-        if unknown:
-            raise UsageError(f"{config_path}: unknown config key(s): {', '.join(unknown)}")
-        for key, value in loaded.items():
-            options[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key in ("config", "log_level", "command", "eval_command", "baseline_command"):
-            continue
-        options[key] = value
-    return options
-
-
 def _print_reports(name: str, reports: Sequence[AnalogyReport]) -> None:
     print(f"# {name}")
     print("bucket\tfound\tcorrect\taccuracy")
@@ -184,13 +47,11 @@ def _print_reports(name: str, reports: Sequence[AnalogyReport]) -> None:
 
 
 def _cmd_ingest(options: dict) -> int:
-    workers = int(options["workers"])
-    mode = str(options["mode"]).replace("-", "_")
     out = Path(options["out"])
     stats_path = Path(options["stats"]) if options["stats"] else Path(str(out) + ".stats.json")
     started = time.monotonic()
-    stats = build_corpus(options["dump"], out, mode=mode, workers=workers,
-                         anchor_stats_path=options["anchor_stats"])
+    stats = build_corpus(options["dump"], out, mode=options["mode"].replace("-", "_"),
+                         workers=options["workers"], anchor_stats_path=options["anchor_stats"])
     with open(stats_path, "w", encoding="utf-8") as handle:
         handle.write(stats.to_json())
     outputs = [out, stats_path]
@@ -205,11 +66,9 @@ def _cmd_ingest(options: dict) -> int:
 
 def _cmd_train(options: dict) -> int:
     config = TrainingConfig(
-        dim=int(options["dim"]), window=int(options["window"]),
-        negatives=int(options["negative"]), epochs=int(options["epochs"]),
-        lr_initial=float(options["lr"]), subsample_t=float(options["subsample"]),
-        min_count=int(options["min_count"]), seed=int(options["seed"]),
-        workers=int(options["workers"]))
+        dim=options["dim"], window=options["window"], negatives=options["negative"],
+        epochs=options["epochs"], lr_initial=options["lr"], subsample_t=options["subsample"],
+        min_count=options["min_count"], seed=options["seed"], workers=options["workers"])
     started = time.monotonic()
     inputs = [options["corpus"]]
     vocab = build_vocab(options["corpus"], min_count=config.min_count)
@@ -228,7 +87,7 @@ def _cmd_train(options: dict) -> int:
 
 
 def _cmd_similar(options: dict) -> int:
-    k = int(options["k"])
+    k = options["k"]
     if k < 1:
         raise UsageError(f"-k must be >= 1, got {k}")
     vset = load_text(options["vectors"])
@@ -246,7 +105,7 @@ def _cmd_analogy(options: dict) -> int:
 
 def _parse_buckets(spec: str) -> list[int]:
     try:
-        buckets = [int(part) for part in str(spec).split(",") if part.strip()]
+        buckets = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"bad bucket list {spec!r}") from None
     if not buckets:
@@ -281,29 +140,35 @@ def _cmd_eval_analogy(options: dict) -> int:
     else:
         all_reports = [eval_analogy(vset, questions, buckets) for vset in sets]
     payload = []
+    table: list[list] = [["set", "bucket", "found", "correct", "accuracy"]]
     for name, reports in zip(names, all_reports):
         _print_reports(name, reports)
         payload.append({"set": name, "results": [
             {"bucket": r.bucket, "found": r.found, "correct": r.correct,
              "accuracy": r.accuracy} for r in reports]})
-    if options["out"]:
-        prefix = Path(options["out"])
-        tsv = Path(str(prefix) + ".tsv")
-        js = Path(str(prefix) + ".json")
-        with open(tsv, "w", encoding="utf-8", newline="\n") as out:
-            out.write("set\tbucket\tfound\tcorrect\taccuracy\n")
-            for name, reports in zip(names, all_reports):
-                for r in reports:
-                    acc = "" if r.accuracy is None else f"{100 * r.accuracy:.1f}"
-                    out.write(f"{name}\t{r.bucket}\t{r.found}\t{r.correct}\t{acc}\n")
-        with open(js, "w", encoding="utf-8") as out:
-            json.dump({"protocol": "commons" if options["commons"] else "all",
-                       "questions": len(questions), "sets": payload}, out, indent=2)
-            out.write("\n")
-        write_manifest(str(prefix) + ".manifest.json", "eval analogy", options,
-                       inputs=[*paths, options["questions"]], outputs=[tsv, js],
-                       wall_time=time.monotonic() - started)
+        table += [[name, r.bucket, r.found, r.correct,
+                   "" if r.accuracy is None else f"{100 * r.accuracy:.1f}"] for r in reports]
+    _write_report(options, "eval analogy", table,
+                  {"protocol": "commons" if options["commons"] else "all",
+                   "questions": len(questions), "sets": payload},
+                  inputs=[*paths, options["questions"]], started=started)
     return 0
+
+
+def _write_report(options: dict, command: str, table: Sequence[Sequence], document: dict,
+                  inputs: Sequence, started: float) -> None:
+    """With ``--out``, write ``<out>.tsv`` (``table``, header first), ``<out>.json`` and the manifest."""
+    if not options["out"]:
+        return
+    prefix = str(Path(options["out"]))
+    tsv, js = Path(prefix + ".tsv"), Path(prefix + ".json")
+    with open(tsv, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines("\t".join(map(str, row)) + "\n" for row in table)
+    with open(js, "w", encoding="utf-8") as out:
+        json.dump(document, out, indent=2)
+        out.write("\n")
+    write_manifest(prefix + ".manifest.json", command, options, inputs=inputs,
+                   outputs=[tsv, js], wall_time=time.monotonic() - started)
 
 
 def _dataset_files(specs: Sequence[str]) -> list[Path]:
@@ -380,22 +245,11 @@ def _cmd_eval_similarity(options: dict) -> int:
                     rows.append({"set": set_name, "dataset": name,
                                  "pairs": rep.pairs_total, "not_found": rep.not_found,
                                  "rho": rep.rho})
-    if options["out"]:
-        prefix = Path(options["out"])
-        tsv = Path(str(prefix) + ".tsv")
-        js = Path(str(prefix) + ".json")
-        with open(tsv, "w", encoding="utf-8", newline="\n") as out:
-            keys = sorted({key for row in rows for key in row})
-            out.write("\t".join(keys) + "\n")
-            for row in rows:
-                out.write("\t".join(json.dumps(row.get(key)) if isinstance(row.get(key), (dict, list))
-                                    else str(row.get(key, "")) for key in keys) + "\n")
-        with open(js, "w", encoding="utf-8") as out:
-            json.dump({"rows": rows}, out, indent=2)
-            out.write("\n")
-        write_manifest(str(prefix) + ".manifest.json", "eval similarity", options,
-                       inputs=inputs, outputs=[tsv, js],
-                       wall_time=time.monotonic() - started)
+    keys = sorted({key for row in rows for key in row})
+    table = [keys, *([json.dumps(row[key]) if isinstance(row.get(key), (dict, list))
+                      else row.get(key, "") for key in keys] for row in rows)]
+    _write_report(options, "eval similarity", table, {"rows": rows}, inputs=inputs,
+                  started=started)
     return 0
 
 
@@ -438,33 +292,157 @@ def _cmd_stats(options: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "train": _cmd_train,
-    "similar": _cmd_similar,
-    "analogy": _cmd_analogy,
-    "eval analogy": _cmd_eval_analogy,
-    "eval similarity": _cmd_eval_similarity,
-    "baseline build": _cmd_baseline_build,
-    "baseline sim": _cmd_baseline_sim,
-    "stats": _cmd_stats,
+# Subcommand -> (handler, help, options).  An option is (flag, argparse keywords);
+# one without a "default" is required, and a SUPPRESS default leaves it unset.
+_COMMANDS: dict[str, tuple[Callable[[dict], int], str, list[tuple[str, dict]]]] = {
+    "ingest": (_cmd_ingest, "compile a dump into a training corpus", [
+        ("--dump", {}), ("--out", {}),
+        ("--mode", {"choices": ["standard", "heuristic", "anchors-only"],
+                    "default": "standard"}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--stats", {"default": None, "help": "stats JSON path (default <out>.stats.json)"}),
+        ("--anchor-stats", {"default": None,
+                            "help": "write aggregated anchor statistics TSV here"}),
+    ]),
+    "train": (_cmd_train, "train embeddings on a corpus", [
+        ("--corpus", {}), ("--out", {}),
+        ("--dim", {"type": int, "default": 300}),
+        ("--window", {"type": int, "default": 10}),
+        ("--negative", {"type": int, "default": 5}),
+        ("--epochs", {"type": int, "default": 5}),
+        ("--min-count", {"type": int, "default": 5}),
+        ("--lr", {"type": float, "default": 0.025}),
+        ("--subsample", {"type": float, "default": 1e-5}),
+        ("--seed", {"type": int, "default": 1}),
+        ("--workers", {"type": int, "default": 1}),
+        ("--init", {"default": None, "help": "warm-start from this vector file"}),
+    ]),
+    "similar": (_cmd_similar, "nearest tokens to a query token", [
+        ("--vectors", {}), ("--token", {}),
+        ("-k", {"type": int, "default": 10}),
+    ]),
+    "analogy": (_cmd_analogy, "a:b :: c:? by vector offset", [
+        ("--vectors", {}), ("--a", {}), ("--b", {}), ("--c", {}),
+    ]),
+    "eval analogy": (_cmd_eval_analogy, "bucketed analogy accuracy", [
+        ("--vectors", {"action": "append", "help": "vector file; repeat for several sets"}),
+        ("--questions", {}),
+        ("--buckets", {"default": "30000,300000,3000000",
+                       "help": "comma-separated frequency caps"}),
+        ("--commons", {"action": "store_true", "default": False,
+                       "help": "score on the intersection of found questions"}),
+        ("--out", {"default": None, "help": "report prefix (writes .tsv and .json)"}),
+    ]),
+    "eval similarity": (_cmd_eval_similarity, "phrase similarity vs human scores", [
+        ("--vectors", {"action": "append", "default": argparse.SUPPRESS,
+                       "help": "vector file; repeat for several sets"}),
+        ("--pairs", {"action": "append", "help": "dataset file or directory; repeat as needed"}),
+        ("--sense-index", {}),
+        ("--common-subset", {"action": "store_true", "default": False}),
+        ("--graph", {"default": None, "help": "link graph (with --scorer linkgraph)"}),
+        ("--scorer", {"choices": ["vectors", "linkgraph"], "default": "vectors"}),
+        ("--out", {"default": None, "help": "report prefix (writes .tsv and .json)"}),
+    ]),
+    "baseline build": (_cmd_baseline_build, "extract the kept-page link graph", [
+        ("--dump", {}), ("--out", {}),
+    ]),
+    "baseline sim": (_cmd_baseline_sim, "relatedness of two page ids", [
+        ("--graph", {}), ("--a", {"type": int}), ("--b", {"type": int}),
+    ]),
+    "stats": (_cmd_stats, "summarise a corpus file", [("--corpus", {})]),
 }
+_GROUPS = {"eval": "evaluation protocols", "baseline": "link-structure baseline"}
+
+
+def _dest(flag: str) -> str:
+    """The option's key in the options dict; a config file may spell it with hyphens."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wikivec",
+        description="Concept-annotated corpora, embeddings, and their evaluations.")
+    parser.add_argument("--config", help="JSON file with option defaults", default=None)
+    parser.add_argument("--log-level", dest="log_level", type=str.upper, default=None,
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="print log records of this level and above to stderr")
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, (_, help_text, options) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = commands.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="command", required=True)
+        sub = (groups[group] if group else commands).add_parser(leaf, help=help_text)
+        sub.set_defaults(command=name)  # a leaf's default overrides its group's name
+        for flag, option in options:
+            # Only given flags reach the namespace; defaults are filled in later,
+            # below any config value.
+            sub.add_argument(flag, **{**option, "required": "default" not in option,
+                                      "default": argparse.SUPPRESS})
+    return parser
+
+
+def _config_value(option: dict, value):
+    """A config file's ``value`` for ``option``, converted and checked as its flag's would be."""
+    action = option.get("action")
+    if action == "store_true":
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"expected true or false, got {value!r}")
+    if action == "append":
+        if isinstance(value, list) and all(isinstance(item, str) for item in value):
+            return value
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    kind = option.get("type", str)
+    json_types, wanted = {int: ((int,), "an integer"), float: ((int, float), "a number")}.get(
+        kind, ((str,), "a string"))
+    if isinstance(value, bool) or not isinstance(value, json_types):
+        raise ValueError(f"expected {wanted}, got {value!r}")
+    converted = kind(value)
+    if "choices" in option and converted not in option["choices"]:
+        raise ValueError(f"{value!r} is not one of {', '.join(option['choices'])}")
+    return converted
+
+
+def _resolve_options(args: argparse.Namespace) -> dict:
+    """flag > config file > built-in default, for the options of ``args.command``.
+
+    A config file may set any option of any subcommand, so one file can serve
+    the whole pipeline; a key no subcommand defines is a usage error.  A value
+    for an option of the running subcommand must pass that option's checks.
+    """
+    table = {_dest(flag): option for flag, option in _COMMANDS[args.command][2]}
+    options = {dest: option["default"] for dest, option in table.items()
+               if option.get("default", argparse.SUPPRESS) is not argparse.SUPPRESS}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+        known = {_dest(flag) for _, _, options_of in _COMMANDS.values() for flag, _ in options_of}
+        unknown = sorted(key for key in loaded if key.replace("-", "_") not in known)
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+        for key, value in loaded.items():
+            dest = key.replace("-", "_")
+            if dest in table:
+                try:
+                    options[dest] = _config_value(table[dest], value)
+                except ValueError as exc:
+                    raise UsageError(f"{args.config}: config key {key!r}: {exc}") from None
+    options.update((dest, value) for dest, value in vars(args).items() if dest in table)
+    return options
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.log_level:
         logging.basicConfig(stream=sys.stderr, level=args.log_level,
                             format="%(asctime)s %(levelname)s %(name)s: %(message)s")
-    command = args.command
-    if command == "eval":
-        command = f"eval {args.eval_command}"
-    elif command == "baseline":
-        command = f"baseline {args.baseline_command}"
     try:
-        options = _resolve_options(parser, args, command)
-        return _HANDLERS[command](options)
+        return _COMMANDS[args.command][0](_resolve_options(args))
     except UsageError as exc:
         print(json.dumps({"error": "UsageError", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ from wikivec.evaluation.analogy import (
     eval_analogy_commons,
     load_analogy_questions,
 )
-from wikivec.evaluation.senses import SenseIndex, build_sense_index, load_sense_index
+from wikivec.evaluation.senses import SenseIndex, load_sense_index
 from wikivec.evaluation.similarity import (
     CommonSubsetReport,
     SimilarityDataset,
@@ -25,7 +25,6 @@ __all__ = [
     "SenseIndex",
     "SimilarityDataset",
     "SimilarityReport",
-    "build_sense_index",
     "common_subset_eval",
     "eval_analogy",
     "eval_analogy_commons",

@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 
 @dataclass(slots=True)
@@ -30,28 +29,11 @@ class SenseIndex:
         return self.lookup(surface) is not None
 
 
-def _finalize(counts: Counter) -> SenseIndex:
-    by_surface: dict[str, tuple[int, int]] = {}
-    for (surface, page_id), n in counts.items():
-        best = by_surface.get(surface)
-        # Higher count wins; equal counts go to the smaller page id.
-        if best is None or (n, -page_id) > (best[1], -best[0]):
-            by_surface[surface] = (page_id, n)
-    return SenseIndex(by_surface)
-
-
-def build_sense_index(anchor_stats: Iterable[tuple[str, int]]) -> SenseIndex:
-    """Aggregate a stream of (surface form, target page_id) anchor observations."""
-    counts: Counter = Counter()
-    for surface, page_id in anchor_stats:
-        key = " ".join(surface.split()).lower()
-        if key:
-            counts[(key, int(page_id))] += 1
-    return _finalize(counts)
-
-
 def load_sense_index(path: str | Path) -> SenseIndex:
-    """Build the index from an aggregated ``surface<TAB>page_id<TAB>count`` file."""
+    """Build the index from an aggregated ``surface<TAB>page_id<TAB>count`` file.
+
+    Surfaces are normalised before counting; a blank surface raises ValueError.
+    """
     counts: Counter = Counter()
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -62,16 +44,17 @@ def load_sense_index(path: str | Path) -> SenseIndex:
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
             surface, page_id, count = parts
+            key = " ".join(surface.split()).lower()
+            if not key:
+                raise ValueError(f"{path}: line {lineno}: blank surface")
             try:
-                counts[(" ".join(surface.split()).lower(), int(page_id))] += int(count)
+                counts[(key, int(page_id))] += int(count)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad integer field") from None
-    return _finalize(counts)
-
-
-def save_sense_index(index: SenseIndex, path: str | Path) -> None:
-    """Persist winning senses as ``surface<TAB>page_id<TAB>count`` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        for surface in sorted(index.mapping):
-            page_id, count = index.mapping[surface]
-            out.write(f"{surface}\t{page_id}\t{count}\n")
+    by_surface: dict[str, tuple[int, int]] = {}
+    for (surface, page_id), n in counts.items():
+        best = by_surface.get(surface)
+        # Higher count wins; equal counts go to the smaller page id.
+        if best is None or (n, -page_id) > (best[1], -best[0]):
+            by_surface[surface] = (page_id, n)
+    return SenseIndex(by_surface)

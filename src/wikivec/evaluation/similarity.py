@@ -73,7 +73,7 @@ class CommonSubsetReport:
 def load_similarity_pairs(path: str | Path) -> SimilarityDataset:
     """Read ``term<SEP>term<SEP>score`` rows; SEP is a tab, else a comma.
 
-    Scores must be finite numbers.
+    Terms must not be blank, and scores must be finite numbers.
     """
     surface_a: list[str] = []
     surface_b: list[str] = []
@@ -95,8 +95,11 @@ def load_similarity_pairs(path: str | Path) -> SimilarityDataset:
                 raise ValueError(f"{path}: line {lineno}: bad score {parts[2]!r}") from None
             if not math.isfinite(score):
                 raise ValueError(f"{path}: line {lineno}: non-finite score {parts[2]!r}")
-            surface_a.append(parts[0].strip())
-            surface_b.append(parts[1].strip())
+            term_a, term_b = parts[0].strip(), parts[1].strip()
+            if not (term_a and term_b):
+                raise ValueError(f"{path}: line {lineno}: blank term")
+            surface_a.append(term_a)
+            surface_b.append(term_b)
             human.append(score)
     return SimilarityDataset(surface_a, surface_b, np.array(human, dtype=np.float64))
 

@@ -30,9 +30,10 @@ CONCEPT_PREFIX = "wiki_"
 
 
 def parse_concept(token: str) -> int | None:
-    """page_id for a ``wiki_<id>`` token, else None."""
-    if token.startswith(CONCEPT_PREFIX) and token[len(CONCEPT_PREFIX):].isdigit():
-        return int(token[len(CONCEPT_PREFIX):])
+    """page_id for a ``wiki_<id>`` token (ASCII digits only), else None."""
+    digits = token[len(CONCEPT_PREFIX):]
+    if token.startswith(CONCEPT_PREFIX) and digits.isascii() and digits.isdigit():
+        return int(digits)
     return None
 
 

@@ -9,8 +9,8 @@ in-link sets and once over out-link sets:
 clamped to [0, 1]; an empty side or empty intersection scores 0.
 
 The graph is held as CSR arrays over page rows, and pairs are scored in whole
-arrays by :meth:`LinkGraph.pair_scores`; :func:`link_similarity` is its
-one-pair case.
+arrays by :meth:`LinkGraph.pair_scores`; :func:`link_similarity` scores one
+pair through the same side formula without building a sparse matrix.
 """
 
 from __future__ import annotations
@@ -160,11 +160,19 @@ def build_link_graph(dump_path: str | Path) -> LinkGraph:
 
 def link_similarity(graph: LinkGraph, page_a: int, page_b: int) -> float:
     """Average of the in-link and out-link shared-neighbour scores."""
-    rows = graph.rows([page_a, page_b])
-    for page, row in zip((page_a, page_b), rows):
+    row_a, row_b = graph.rows([page_a, page_b])
+    for page, row in ((page_a, row_a), (page_b, row_b)):
         if row < 0:
             raise KeyError(f"page {page} is not in the link graph")
-    return float(graph.pair_scores(rows[:1], rows[1:])[0])
+    n, indptr, indices = graph.page_count, graph.indptr, graph.indices
+    sides_a, sides_b = np.array([row_a, row_a + n]), np.array([row_b, row_b + n])
+    # One pair needs no sparse matrix: intersect the two sorted CSR slices per side.
+    overlap = np.array([np.intersect1d(indices[indptr[a]:indptr[a + 1]],
+                                       indices[indptr[b]:indptr[b + 1]], assume_unique=True).size
+                        for a, b in zip(sides_a, sides_b)])
+    side = _side_scores(indptr[sides_a + 1] - indptr[sides_a],
+                        indptr[sides_b + 1] - indptr[sides_b], overlap, n)
+    return float((side[1] + side[0]) / 2.0)  # in-link score + out-link score, as pair_scores
 
 
 def save_graph(graph: LinkGraph, path: str | Path) -> None:

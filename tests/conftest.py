@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
+from wikivec.evaluation.senses import SenseIndex, load_sense_index
 from wikivec.ingest.corpus import scan_dump
 from wikivec.ingest.dump import open_dump, stream_pages
 
@@ -56,6 +59,15 @@ FIXTURE_KEPT_FACTS = [
     (5, 34, 3, 0),
     (6, 35, 3, 0),
 ]
+
+
+def sense_index(rows: Iterable[tuple[str, int, int]]) -> SenseIndex:
+    """``load_sense_index`` over a TSV of ``(surface, page_id, count)`` rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "senses.tsv"
+        path.write_text("".join(f"{surface}\t{page}\t{count}\n" for surface, page, count in rows),
+                        encoding="utf-8")
+        return load_sense_index(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage, driven through main() plus one subprocess."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -470,6 +471,87 @@ def test_config_rejects_keys_no_subcommand_defines(tmp_path, capsys):
                          "--dump", FIXTURE_DUMP, "--out", out)
     assert code == 0
     assert out.read_bytes() == GOLDEN_STANDARD.read_bytes()
+
+
+# Each value is wrong for its option's type, choices or action, so none may
+# reach a handler.
+@pytest.mark.parametrize("config, argv", [
+    ({"dim": 4.7}, ["train", "--corpus", GOLDEN_STANDARD, "--out", "{out}/v.txt"]),
+    ({"workers": "2"}, ["train", "--corpus", GOLDEN_STANDARD, "--out", "{out}/v.txt"]),
+    ({"commons": "false"}, ["eval", "analogy", "--vectors", DATA / "pretrained_fixture.txt",
+                            "--questions", DATA / "questions_fixture.txt", "--out", "{out}/r"]),
+    ({"scorer": "bogus"}, ["eval", "similarity", "--vectors", DATA / "pretrained_fixture.txt",
+                           "--pairs", DATA / "sim_comma.csv",
+                           "--sense-index", GOLDEN_ANCHOR_STATS, "--out", "{out}/r"]),
+    ({"mode": "bogus"}, ["ingest", "--dump", FIXTURE_DUMP, "--out", "{out}/c.txt"]),
+    ({"vectors": "v.txt"}, ["eval", "similarity", "--pairs", DATA / "sim_comma.csv",
+                            "--sense-index", GOLDEN_ANCHOR_STATS, "--out", "{out}/r"]),
+], ids=["dim", "workers", "commons", "scorer", "mode", "vectors"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, stderr = run_cli(capsys, "--config", path,
+                              *(str(word).format(out=out) for word in argv))
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "UsageError"
+    key = next(iter(config))
+    assert str(path) in err["message"] and repr(key) in err["message"]
+    assert list(out.iterdir()) == []
+
+
+def _values(flag, option):
+    """Two distinct values of an option, each as (argv words, JSON value, typed value).
+
+    The first is never the default.
+    """
+    action, kind, default = option.get("action"), option.get("type"), option["default"]
+    if action == "store_true":
+        return ([flag], True, True), ([], False, False)
+    if action == "append":
+        return ([flag, "x.txt", flag, "y.txt"], ["x.txt", "y.txt"], ["x.txt", "y.txt"]), \
+            ([flag, "z.txt"], ["z.txt"], ["z.txt"])
+    if "choices" in option:
+        other = next(choice for choice in option["choices"] if choice != default)
+        return ([flag, other], other, other), ([flag, default], default, default)
+    if kind is int:
+        return ([flag, str(default + 1)], default + 1, default + 1), \
+            ([flag, str(default + 2)], default + 2, default + 2)
+    if kind is float:  # a JSON integer is a number too
+        return ([flag, "3"], 3, 3.0), ([flag, "0.5"], 0.5, 0.5)
+    return ([flag, "one"], "one", "one"), ([flag, "two"], "two", "two")
+
+
+_WITH_DEFAULTS = [(command, flag, option) for command, (_, _, options) in cli._COMMANDS.items()
+                  for flag, option in options if "default" in option]
+
+
+@pytest.mark.parametrize("command, flag, option", _WITH_DEFAULTS,
+                         ids=[f"{command} {flag}" for command, flag, _ in _WITH_DEFAULTS])
+def test_flag_config_and_default_resolve_to_one_typed_value(tmp_path, command, flag, option):
+    required = [word for other, spec in cli._COMMANDS[command][2] if "default" not in spec
+                for word in (other, "1")]
+    dest = flag.lstrip("-").replace("-", "_")
+
+    def resolved(words, config=None):
+        argv = [*command.split(), *required, *words]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({flag.lstrip("-"): config}), encoding="utf-8")
+            argv = ["--config", str(path), *argv]
+        options = cli._resolve_options(cli._build_parser().parse_args(argv))
+        return options.get(dest, argparse.SUPPRESS)
+
+    def check(got, want):
+        assert got == want and type(got) is type(want)
+
+    first, second = _values(flag, option)
+    check(resolved([]), option["default"])
+    check(resolved(first[0]), first[2])
+    check(resolved([], config=first[1]), first[2])
+    check(resolved(first[0], config=second[1]), first[2])
 
 
 def test_config_must_be_a_json_object(tmp_path, capsys):

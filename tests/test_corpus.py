@@ -19,6 +19,17 @@ def test_parse_concept():
     assert parse_concept("river") is None
 
 
+@pytest.mark.parametrize("token, page", [
+    ("wiki_12", 12),
+    ("wiki_٣", None),  # ARABIC-INDIC DIGIT THREE: a digit, but not ASCII
+    ("wiki_²", None),  # SUPERSCRIPT TWO: isdigit() is true, int() fails
+    ("wiki_", None),
+    ("wiki_-1", None),
+])
+def test_parse_concept_takes_only_ascii_digits(token, page):
+    assert parse_concept(token) == page
+
+
 def _render(page, anchors, redirects, kept, mode):
     return " ".join(render_line(page, anchors, resolve_targets(anchors, redirects, kept), mode))
 

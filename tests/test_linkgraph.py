@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DUMP
+from conftest import FIXTURE_DUMP, sense_index
 from oracles import link_score, link_sets, link_side_score, spearman_fraction
-from wikivec.evaluation.senses import build_sense_index
 from wikivec.evaluation.similarity import SimilarityDataset, eval_similarity
 from wikivec.linkgraph import (
     LinkGraph,
@@ -135,7 +134,7 @@ def test_link_rho_matches_the_oracle(seed):
     rng = np.random.default_rng(seed)
     # Every graph page has a surface; "stranger" maps to no concept and
     # "ghost" to a page outside the graph, so their pairs are not found.
-    senses = build_sense_index([*((f"p{page}", page) for page in pages), ("ghost", 10 ** 6)])
+    senses = sense_index([*((f"p{page}", page, 1) for page in pages), ("ghost", 10 ** 6, 1)])
     surfaces = [f"p{page}" for page in pages] + ["stranger", "ghost"]
     first = rng.integers(0, len(surfaces), size=300)
     second = rng.integers(0, len(surfaces), size=300)

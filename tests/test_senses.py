@@ -1,51 +1,36 @@
-"""Most-frequent-sense index: winners, tie rule, persistence."""
+"""Most-frequent-sense index: winners, tie rule, normalisation, file errors."""
 
 import pytest
 
-from conftest import GOLDEN_ANCHOR_STATS
+from conftest import GOLDEN_ANCHOR_STATS, sense_index
 from oracles import most_frequent_sense
-from wikivec.evaluation.senses import (
-    SenseIndex,
-    build_sense_index,
-    load_sense_index,
-    save_sense_index,
-)
+from wikivec.evaluation.senses import SenseIndex, load_sense_index
 
 
-def test_build_picks_highest_count():
-    index = build_sense_index([("java", 1), ("java", 1), ("java", 2)])
+def test_highest_count_wins():
+    index = sense_index([("java", 1, 1), ("java", 1, 1), ("java", 2, 1)])
     assert index.lookup("java") == 1
     assert index.mapping["java"] == (1, 2)
 
 
 def test_tie_goes_to_smaller_page_id():
-    index = build_sense_index([("mercury", 9), ("mercury", 4)])
+    index = sense_index([("mercury", 9, 1), ("mercury", 4, 1)])
     assert index.lookup("mercury") == 4
 
 
 def test_lookup_normalises_case_and_spacing():
-    index = build_sense_index([("new york", 7)])
+    index = sense_index([("new york", 7, 1)])
     assert index.lookup("New   York") == 7
     assert index.lookup(" new york ") == 7
     assert index.lookup("boston") is None
     assert "new york" in index and "boston" not in index
 
 
-def test_build_normalises_surfaces_before_counting():
-    # "Java" and "java" are one surface form; blank surfaces are dropped.
-    index = build_sense_index([("Java", 3), ("java", 3), ("JAVA", 8), ("  ", 1)])
+def test_load_normalises_surfaces_before_counting():
+    # "Java", "java" and " JAVA " are one surface form.
+    index = sense_index([("Java", 3, 1), ("java", 3, 1), (" JAVA ", 8, 1)])
     assert len(index) == 1
     assert index.mapping["java"] == (3, 2)
-
-
-def test_save_load_round_trip(tmp_path):
-    index = build_sense_index([("paris", 1), ("paris", 1), ("paris", 6), ("seine", 3)])
-    path = tmp_path / "senses.tsv"
-    save_sense_index(index, path)
-    again = load_sense_index(path)
-    assert again.mapping == index.mapping
-    text = path.read_text(encoding="utf-8")
-    assert text == "paris\t1\t2\nseine\t3\t1\n"
 
 
 def test_load_aggregates_repeated_rows(tmp_path):
@@ -65,6 +50,14 @@ def test_load_errors_carry_line_numbers(tmp_path):
     bad_int.write_text("a\tone\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1: bad integer"):
         load_sense_index(bad_int)
+
+
+def test_load_rejects_blank_surfaces(tmp_path):
+    # A blank surface would map "" to a page, and so a blank dataset term.
+    path = tmp_path / "blank.tsv"
+    path.write_text("paris\t1\t3\n  \t1\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="blank.tsv: line 2: blank surface"):
+        load_sense_index(path)
 
 
 def test_fixture_stats_match_brute_force_oracle():

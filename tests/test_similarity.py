@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA
+from conftest import DATA, sense_index
 from oracles import dot, spearman_fraction
 from wikivec.evaluation import similarity
-from wikivec.evaluation.senses import build_sense_index
+from wikivec.evaluation.senses import SenseIndex
 from wikivec.evaluation.similarity import (
     SimilarityDataset,
     SimilarityReport,
@@ -22,7 +22,7 @@ from wikivec.evaluation.stats import spearman
 from wikivec.linkgraph import LinkGraph
 from wikivec.vectors import VectorSet
 
-EMPTY_SENSES = build_sense_index([])
+EMPTY_SENSES = SenseIndex()
 
 
 def _dataset(*rows):
@@ -58,8 +58,16 @@ def test_load_errors_carry_line_numbers(tmp_path):
             load_similarity_pairs(nonfinite)
 
 
+@pytest.mark.parametrize("row", [",wiki_2,1.0", "paris, ,1.0", "paris\t\u3000\t2.0"])
+def test_load_rejects_blank_terms(tmp_path, row):
+    path = tmp_path / "blank.csv"
+    path.write_text(f"tiger,cat,7.35\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="blank.csv: line 2: blank term"):
+        load_similarity_pairs(path)
+
+
 def test_map_surface_routes_through_senses():
-    senses = build_sense_index([("paris", 1), ("machine learning", 5)])
+    senses = sense_index([("paris", 1, 1), ("machine learning", 5, 1)])
     assert map_surface(senses, "Paris") == "wiki_1"
     assert map_surface(senses, "Machine   Learning") == "wiki_5"
     assert map_surface(senses, "Rare Phrase") == "rare phrase"
@@ -91,7 +99,7 @@ def surface_variants(draw, words):
 @given(st.data(), st.lists(st.tuples(phrase_words, st.integers(0, 30)), max_size=5),
        phrase_words)
 def test_map_surface_matches_lookup_then_normalise(data, entries, stranger):
-    senses = build_sense_index((" ".join(words), page) for words, page in entries)
+    senses = sense_index((" ".join(words), page, 1) for words, page in entries)
     for words in [*(words for words, _ in entries), stranger]:
         surface = data.draw(surface_variants(words))
         assert map_surface(senses, surface) == _lookup_then_normalise(senses, surface)
@@ -151,8 +159,8 @@ def test_eval_similarity_scorer_route():
     # Out-links 1 -> {2, 5} and 2 -> {1, 5} share page 5; pages 3 and 4 share
     # no neighbour on either side, so Paris-France outscores Tiger-Cat.
     graph = LinkGraph.from_links([1, 2, 3, 4, 5], {1: [2, 5], 2: [1, 5], 3: [5], 4: [1]})
-    senses = build_sense_index([("paris", 1), ("france", 2), ("tiger", 3), ("cat", 4),
-                                ("paper", 9)])
+    senses = sense_index([("paris", 1, 1), ("france", 2, 1), ("tiger", 3, 1), ("cat", 4, 1),
+                          ("paper", 9, 1)])
     pairs = _dataset(("Paris", "France", 9.0), ("Tiger", "Cat", 5.0),
                      ("book", "paper", 4.0))  # no concept, no graph page: not found
     report = eval_similarity(None, pairs, senses, scorer=graph)
