@@ -165,7 +165,7 @@ def _write_report(options: dict, command: str, table: Sequence[Sequence], docume
     with open(tsv, "w", encoding="utf-8", newline="\n") as out:
         out.writelines("\t".join(map(str, row)) + "\n" for row in table)
     with open(js, "w", encoding="utf-8") as out:
-        json.dump(document, out, indent=2)
+        json.dump(document, out, indent=2, allow_nan=False)
         out.write("\n")
     write_manifest(prefix + ".manifest.json", command, options, inputs=inputs,
                    outputs=[tsv, js], wall_time=time.monotonic() - started)
@@ -184,6 +184,10 @@ def _dataset_files(specs: Sequence[str]) -> list[Path]:
         else:
             files.append(path)
     return files
+
+
+def _rho_cell(rho: float | None) -> str:
+    return "-" if rho is None else f"{rho:.4f}"
 
 
 def _cmd_eval_similarity(options: dict) -> int:
@@ -211,8 +215,7 @@ def _cmd_eval_similarity(options: dict) -> int:
         print("dataset\tpairs\tnot_found\trho")
         for name, pairs in datasets.items():
             rep = eval_similarity(None, pairs, sense_index, dataset=name, scorer=graph)
-            rho = "-" if rep.rho is None else f"{rep.rho:.4f}"
-            print(f"{name}\t{rep.pairs_total}\t{rep.not_found}\t{rho}")
+            print(f"{name}\t{rep.pairs_total}\t{rep.not_found}\t{_rho_cell(rep.rho)}")
             rows.append({"set": "linkgraph", "dataset": name, "pairs": rep.pairs_total,
                          "not_found": rep.not_found, "rho": rep.rho})
     else:
@@ -220,16 +223,14 @@ def _cmd_eval_similarity(options: dict) -> int:
         inputs.extend(paths)
         if options["common_subset"]:
             report = common_subset_eval(sets, datasets, sense_index)
-            header = "dataset\tpairs\t" + "\t".join(report.set_names)
-            print(header)
+            print("dataset\tpairs\t" + "\t".join(report.set_names))
             for dataset, n_pairs, per_set in report.rows:
-                cells = "\t".join(f"{per_set[name]:.4f}" for name in report.set_names)
+                cells = "\t".join(_rho_cell(per_set[name]) for name in report.set_names)
                 print(f"{dataset}\t{n_pairs}\t{cells}")
-                rows.append({"dataset": dataset, "pairs": n_pairs,
-                             "rho": {k: v for k, v in per_set.items()}})
+                rows.append({"dataset": dataset, "pairs": n_pairs, "rho": dict(per_set)})
             averages = report.averages()
             if averages:
-                cells = "\t".join(f"{averages[name]:.4f}" for name in report.set_names)
+                cells = "\t".join(_rho_cell(averages[name]) for name in report.set_names)
                 print(f"average\t-\t{cells}")
             for dataset in report.skipped:
                 print(f"# skipped {dataset}: shared subset smaller than 2 pairs")
@@ -240,8 +241,8 @@ def _cmd_eval_similarity(options: dict) -> int:
             for set_name, vset in sets.items():
                 for name, pairs in datasets.items():
                     rep = eval_similarity(vset, pairs, sense_index, dataset=name)
-                    rho = "-" if rep.rho is None else f"{rep.rho:.4f}"
-                    print(f"{set_name}\t{name}\t{rep.pairs_total}\t{rep.not_found}\t{rho}")
+                    print(f"{set_name}\t{name}\t{rep.pairs_total}\t{rep.not_found}\t"
+                          f"{_rho_cell(rep.rho)}")
                     rows.append({"set": set_name, "dataset": name,
                                  "pairs": rep.pairs_total, "not_found": rep.not_found,
                                  "rho": rep.rho})
@@ -275,18 +276,12 @@ def _cmd_baseline_sim(options: dict) -> int:
 
 def _cmd_stats(options: dict) -> int:
     lines = 0
-    tokens = 0
-    concepts = 0
     distinct: Counter = Counter()
     with open(options["corpus"], "r", encoding="utf-8") as handle:
-        for line in handle:
-            lines += 1
-            for token in line.split():
-                tokens += 1
-                distinct[token] += 1
-                if parse_concept(token) is not None:
-                    concepts += 1
-    print(json.dumps({"lines": lines, "token_occurrences": tokens,
+        for lines, line in enumerate(handle, start=1):
+            distinct.update(line.split())
+    concepts = sum(n for token, n in distinct.items() if parse_concept(token) is not None)
+    print(json.dumps({"lines": lines, "token_occurrences": sum(distinct.values()),
                       "distinct_tokens": len(distinct),
                       "concept_occurrences": concepts}, indent=2, sort_keys=True))
     return 0
@@ -417,8 +412,10 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     options = {dest: option["default"] for dest, option in table.items()
                if option.get("default", argparse.SUPPRESS) is not argparse.SUPPRESS}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
+        try:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UsageError(f"{args.config}: config is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         known = {_dest(flag) for _, _, options_of in _COMMANDS.values() for flag, _ in options_of}

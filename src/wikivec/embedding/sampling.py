@@ -34,7 +34,6 @@ class NoiseSampler:
         alias = np.arange(n, dtype=np.int64)
         small = [i for i in range(n) if scaled[i] < 1.0]
         large = [i for i in range(n) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
         while small and large:
             s = small.pop()
             g = large.pop()

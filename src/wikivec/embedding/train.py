@@ -6,9 +6,11 @@ builds a line's windows (dynamic per occurrence, after frequency subsampling)
 and negatives at once, then updates one center at a time from the pre-update
 rows; the learning rate decays linearly down to lr/10000.
 
-With ``workers > 1`` each forked worker trains on the lines that start in its
-byte range of the corpus, updating the two matrices in anonymous shared memory
-without locks (Hogwild), so results are only reproducible at workers = 1.
+The corpus is encoded once, before any worker starts, into one array of
+in-vocabulary ids and its line bounds.  With ``workers > 1`` each forked worker
+trains on the lines that start in its token range of that array, updating the
+two matrices in anonymous shared memory without locks (Hogwild), so results are
+only reproducible at workers = 1.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import logging
 import math
 import mmap
 import time
+from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +28,7 @@ from scipy.special import expit
 
 from wikivec.embedding.model import EmbeddingModel, TrainingConfig
 from wikivec.embedding.sampling import NoiseSampler, noise_distribution
-from wikivec.workers import WorkerError, fork_map, shard_lines
+from wikivec.workers import WorkerError, fork_map
 
 log = logging.getLogger(__name__)
 
@@ -100,11 +103,32 @@ def _line_contexts(ids: np.ndarray, radii: np.ndarray,
     return valid.sum(axis=1), ids[where[valid]]
 
 
-def _parallel_worker(corpus_path: Path, inp: np.ndarray, out: np.ndarray,
-                     index: dict[str, int], sampler: NoiseSampler, keep_prob: np.ndarray,
-                     config: TrainingConfig, total_scheduled: int, progress: memoryview,
+def _encode(corpus_path: str | Path, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus as int32 in-vocabulary ids, and int64 line bounds: line j is
+    ``ids[bounds[j]:bounds[j + 1]]``.  Lines end at ``\\n`` only, and a line with no
+    in-vocabulary token is left out."""
+    ids, bounds = array("i"), [0]
+    with open(corpus_path, "rb") as handle:
+        for line in handle:
+            ids.extend([index[t] for t in line.decode("utf-8").split() if t in index])
+            if len(ids) > bounds[-1]:
+                bounds.append(len(ids))
+    return np.frombuffer(ids, dtype=np.int32), np.array(bounds, dtype=np.int64)
+
+
+def _shard(bounds: np.ndarray, worker: int, n: int) -> np.ndarray:
+    """The bounds of the lines whose first id offset lies in ``[worker * T // n,
+    (worker + 1) * T // n)`` of the T ids, so n shards hold every line once, in order."""
+    total = int(bounds[-1])
+    lo, hi = np.searchsorted(bounds[:-1], [total * worker // n, total * (worker + 1) // n])
+    return bounds[lo:hi + 1]
+
+
+def _parallel_worker(ids: np.ndarray, bounds: np.ndarray, inp: np.ndarray, out: np.ndarray,
+                     sampler: NoiseSampler, keep_prob: np.ndarray, config: TrainingConfig,
+                     total_scheduled: int, progress: memoryview,
                      worker_id: int, n_workers: int) -> tuple[int, int]:
-    """Train on the lines in this worker's byte range; returns (pairs trained, pairs skipped).
+    """Train on the lines in this worker's token range; returns (pairs trained, pairs skipped).
     ``progress[0]`` counts occurrences for the lr schedule, across workers, without a lock."""
     rng = np.random.default_rng(config.seed + worker_id)
     lr = lr0 = config.lr_initial
@@ -112,14 +136,12 @@ def _parallel_worker(corpus_path: Path, inp: np.ndarray, out: np.ndarray,
     k = config.negatives
     subsampling = config.subsample_t > 0
     trained = skipped = 0
+    shard = _shard(bounds, worker_id, n_workers).tolist()
     for epoch in range(config.epochs):
-        for line in shard_lines(corpus_path, worker_id, n_workers):
-            ids = [index[t] for t in line.split() if t in index]
-            if not ids:
-                continue
-            progress[0] += len(ids)
+        for first, end in zip(shard, shard[1:]):
+            progress[0] += end - first
             lr = lr0 + (lr_min - lr0) * min(1.0, progress[0] / total_scheduled)
-            id_arr = np.asarray(ids, dtype=np.int64)
+            id_arr = ids[first:end].astype(np.int64)
             if subsampling:
                 id_arr = id_arr[rng.random(id_arr.size) < keep_prob[id_arr]]
             if id_arr.size < 2:
@@ -168,13 +190,13 @@ def train(corpus_path: str | Path, model: EmbeddingModel,
         config = model.config
     if model.dim != config.dim:
         raise ValueError(f"model dim {model.dim} != config dim {config.dim}")
-    corpus_path = Path(corpus_path)
     vocab = model.vocab
     total_scheduled = vocab.total_tokens * config.epochs
     if total_scheduled == 0:
         return model
     sampler = noise_distribution(vocab)
     keep_prob = _keep_probabilities(vocab.counts, config.subsample_t)
+    ids, bounds = _encode(corpus_path, vocab.index)
 
     # Shared mappings: what forked workers write lands in the parent's copies.
     inp, out = (np.frombuffer(mmap.mmap(-1, m.nbytes)).reshape(m.shape)
@@ -184,8 +206,8 @@ def train(corpus_path: str | Path, model: EmbeddingModel,
     started = time.perf_counter()
     try:
         pairs = fork_map(lambda worker: _parallel_worker(
-            corpus_path, inp, out, vocab.index, sampler, keep_prob, config, total_scheduled,
-            progress, worker, config.workers), config.workers)
+            ids, bounds, inp, out, sampler, keep_prob, config, total_scheduled, progress,
+            worker, config.workers), config.workers)
     except WorkerError as exc:
         raise TrainingError(str(exc)) from exc
     trained, skipped = map(sum, zip(*pairs))

@@ -100,20 +100,9 @@ def eval_analogy(vset: VectorSet, questions: Sequence[AnalogyQuestion],
     """Score the question list under each frequency-cap bucket.
 
     The cap restricts both the candidate vocabulary and the found test; the
-    vector set must carry frequency ranks.
+    vector set must carry frequency ranks.  The one-set case of the commons protocol.
     """
-    if not vset.frequency_ranked:
-        raise ValueError("analogy evaluation needs a frequency-ranked vector set")
-    if any(cap < 1 for cap in buckets):
-        raise ValueError("bucket caps must be >= 1")
-    rows = _question_rows(vset, questions)
-    reach = rows.max(axis=1)
-    reports: list[AnalogyReport] = []
-    for cap in buckets:
-        found = rows[reach < cap]
-        reports.append(AnalogyReport(bucket=cap, found=len(found),
-                                     correct=_count_correct(vset, found, cap)))
-    return reports
+    return eval_analogy_commons([vset], questions, buckets)[0]
 
 
 def eval_analogy_commons(sets: Sequence[VectorSet], questions: Sequence[AnalogyQuestion],
@@ -122,9 +111,8 @@ def eval_analogy_commons(sets: Sequence[VectorSet], questions: Sequence[AnalogyQ
 
     Returns one report list per input set, aligned with ``sets``.
     """
-    for vset in sets:
-        if not vset.frequency_ranked:
-            raise ValueError("analogy evaluation needs frequency-ranked vector sets")
+    if not all(vset.frequency_ranked for vset in sets):
+        raise ValueError("analogy evaluation needs frequency-ranked vector sets")
     if not sets:
         return []
     if any(cap < 1 for cap in buckets):

@@ -46,7 +46,7 @@ class SimilarityReport:
     dataset: str
     pairs_total: int
     not_found: int
-    rho: float | None
+    rho: float | None  # None where undefined: see _rho
 
     @property
     def found(self) -> int:
@@ -58,16 +58,16 @@ class CommonSubsetReport:
     """Per-dataset rho over the pairs every vector set found, plus averages."""
 
     set_names: list[str]
-    rows: list[tuple[str, int, dict[str, float]]] = field(default_factory=list)
+    rows: list[tuple[str, int, dict[str, float | None]]] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
-    def averages(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name in self.set_names:
-            values = [row[2][name] for row in self.rows]
-            if values:
-                out[name] = sum(values) / len(values)
-        return out
+    def averages(self) -> dict[str, float | None]:
+        """Each set's mean rho over the datasets where it is defined; empty without rows."""
+        if not self.rows:
+            return {}
+        defined = {name: [row[2][name] for row in self.rows if row[2][name] is not None]
+                   for name in self.set_names}
+        return {name: sum(rhos) / len(rhos) if rhos else None for name, rhos in defined.items()}
 
 
 def load_similarity_pairs(path: str | Path) -> SimilarityDataset:
@@ -123,10 +123,17 @@ def _map_dataset(dataset: SimilarityDataset,
     return tokens, code_a, code_b
 
 
+def _rho(system: np.ndarray, human: np.ndarray) -> float | None:
+    """Spearman rho, or None where undefined: fewer than 2 pairs, or one side all equal."""
+    rho = spearman(system, human) if len(system) >= 2 else math.nan
+    return None if math.isnan(rho) else rho
+
+
 def eval_similarity(vset: VectorSet | None, pairs: SimilarityDataset,
                     sense_index: SenseIndex, dataset: str = "",
                     scorer: LinkGraph | None = None) -> SimilarityReport:
-    """Score one dataset; rho is None when fewer than 2 pairs are found.
+    """Score one dataset; rho is None when fewer than 2 pairs are found, or when
+    the found pairs' human or system scores are all equal.
 
     With a link graph as ``scorer`` (the link baseline), a pair is scored by
     link similarity instead of cosine and is found when both mapped tokens
@@ -142,9 +149,9 @@ def eval_similarity(vset: VectorSet | None, pairs: SimilarityDataset,
     rows_a, rows_b = rows[code_a], rows[code_b]
     found = (rows_a >= 0) & (rows_b >= 0)
     system = score(rows_a[found], rows_b[found])
-    rho = spearman(system, pairs.human[found]) if len(system) >= 2 else None
     return SimilarityReport(dataset=dataset, pairs_total=len(pairs),
-                            not_found=len(pairs) - len(system), rho=rho)
+                            not_found=len(pairs) - len(system),
+                            rho=_rho(system, pairs.human[found]))
 
 
 def common_subset_eval(sets: Mapping[str, VectorSet],
@@ -153,7 +160,8 @@ def common_subset_eval(sets: Mapping[str, VectorSet],
     """Per dataset, keep only pairs every set finds, then score each set on those.
 
     Datasets whose shared subset has fewer than 2 pairs are skipped and
-    listed in the report's ``skipped`` field.
+    listed in the report's ``skipped`` field.  A set's rho is None where it is
+    undefined, as in :func:`eval_similarity`.
     """
     report = CommonSubsetReport(set_names=list(sets))
     for name, pairs in datasets.items():
@@ -168,8 +176,8 @@ def common_subset_eval(sets: Mapping[str, VectorSet],
             continue
         shared_a, shared_b = code_a[shared], code_b[shared]
         human = pairs.human[shared]
-        row = {set_name: spearman(vset.pair_cosines(rows[set_name][shared_a],
-                                                    rows[set_name][shared_b]), human)
+        row = {set_name: _rho(vset.pair_cosines(rows[set_name][shared_a],
+                                                rows[set_name][shared_b]), human)
                for set_name, vset in sets.items()}
         report.rows.append((name, n_shared, row))
     return report

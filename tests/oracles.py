@@ -344,3 +344,29 @@ def read_vector_text(path) -> tuple[list[str], list[list[float]]]:
             or (header is not None and header[0] != len(tokens))):
         raise ValueError("malformed vector file")
     return tokens, rows
+
+
+def encode_lines(data: bytes, index: Mapping[str, int]) -> list[list[int]]:
+    """The in-vocabulary ids of each line of ``data``, lines with none dropped.
+
+    A line ends at each ``\\n`` byte (a last line may lack one) and is decoded
+    as UTF-8; a token is a maximal run of non-whitespace characters.
+    """
+    encoded = []
+    start = 0
+    while start <= len(data):
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        ids, token = [], ""
+        for ch in data[start:end].decode("utf-8") + " ":
+            if not ch.isspace():
+                token += ch
+                continue
+            if token in index:
+                ids.append(index[token])
+            token = ""
+        if ids:
+            encoded.append(ids)
+        start = end + 1
+    return encoded

@@ -397,6 +397,61 @@ def test_eval_similarity_linkgraph_route(tmp_path, capsys):
     assert cells[:3] == ["pairs", "4", "1"]
 
 
+def _strict_json(path):
+    """``path`` parsed as JSON that holds no NaN or infinity."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_eval_similarity_undefined_rho_is_null_not_nan(sim_setup, tmp_path, capsys):
+    # Equal human scores leave rho undefined; the graph's pairs are all found.
+    vectors, senses, _ = sim_setup
+    flat = tmp_path / "flat.csv"
+    flat.write_text("paris,france,5\ntiger,cat,5\nbook,paper,5\n", encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, "eval", "similarity", "--vectors", vectors,
+                              "--pairs", flat, "--sense-index", senses,
+                              "--out", tmp_path / "vec")
+    assert code == 0
+    assert stdout.strip().split("\n")[1].split("\t") == ["sim_vecs", "flat", "3", "0", "-"]
+    assert [row["rho"] for row in _strict_json(tmp_path / "vec.json")["rows"]] == [None]
+
+    graph = tmp_path / "graph.npz"
+    assert main(["baseline", "build", "--dump", str(FIXTURE_DUMP), "--out", str(graph)]) == 0
+    link_senses = tmp_path / "link_senses.tsv"
+    link_senses.write_text("paris\t1\t3\nfrance\t2\t2\nseine\t3\t2\n", encoding="utf-8")
+    link_flat = tmp_path / "link_flat.csv"
+    link_flat.write_text("paris,france,5\nseine,paris,5\n", encoding="utf-8")
+    capsys.readouterr()
+    code, stdout, _ = run_cli(capsys, "eval", "similarity", "--scorer", "linkgraph",
+                              "--graph", graph, "--pairs", link_flat,
+                              "--sense-index", link_senses, "--out", tmp_path / "link")
+    assert code == 0
+    assert stdout.strip().split("\n")[2].split("\t") == ["link_flat", "2", "0", "-"]
+    assert [row["rho"] for row in _strict_json(tmp_path / "link.json")["rows"]] == [None]
+
+
+def test_common_subset_averages_only_defined_rhos(sim_setup, tmp_path, capsys):
+    vectors, senses, ranked = sim_setup
+    flat = tmp_path / "flat.csv"
+    flat.write_text("paris,france,5\ntiger,cat,5\nbook,paper,5\n", encoding="utf-8")
+    small = tmp_path / "small_vecs.txt"
+    full = load_text(vectors)
+    save_text(VectorSet(full.tokens[:4], full.matrix[:4]), small)
+    code, stdout, _ = run_cli(capsys, "eval", "similarity", "--vectors", vectors,
+                              "--vectors", small, "--pairs", flat, "--pairs", ranked,
+                              "--sense-index", senses, "--common-subset",
+                              "--out", tmp_path / "common")
+    assert code == 0
+    lines = [line.split("\t") for line in stdout.strip().split("\n")]
+    assert lines[1] == ["flat", "2", "-", "-"]
+    assert lines[2][:2] == ["pairs", "2"] and lines[3][:2] == ["average", "-"]
+    assert lines[3][2:] == lines[2][2:]  # the mean over the one defined rho
+    rows = _strict_json(tmp_path / "common.json")["rows"]
+    assert rows[0]["rho"] == {"sim_vecs": None, "small_vecs": None}
+    assert rows[2]["rho"] == rows[1]["rho"]
+
+
 def test_eval_similarity_linkgraph_needs_graph(sim_setup, capsys):
     _, senses, pairs = sim_setup
     code, _, stderr = run_cli(capsys, "eval", "similarity", "--scorer", "linkgraph",
@@ -552,6 +607,21 @@ def test_flag_config_and_default_resolve_to_one_typed_value(tmp_path, command, f
     check(resolved(first[0]), first[2])
     check(resolved([], config=first[1]), first[2])
     check(resolved(first[0], config=second[1]), first[2])
+
+
+@pytest.mark.parametrize("content", [b'{"dim": 4,}', b'{"mode": "\xff"}'],
+                         ids=["trailing comma", "not utf-8"])
+def test_malformed_config_is_a_usage_error_naming_the_file(tmp_path, capsys, content):
+    config = tmp_path / "bad.json"
+    config.write_bytes(content)
+    out = tmp_path / "c.txt"
+    code, _, stderr = run_cli(capsys, "--config", config, "ingest",
+                              "--dump", FIXTURE_DUMP, "--out", out)
+    assert code == 2
+    err = json.loads(stderr)
+    assert err["error"] == "UsageError"
+    assert str(config) in err["message"] and "config" in err["message"]
+    assert not out.exists()
 
 
 def test_config_must_be_a_json_object(tmp_path, capsys):

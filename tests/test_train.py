@@ -1,15 +1,17 @@
 """Trainer unit tests: gradients against finite differences, the per-center kernel
-against a pure-Python oracle, window building, schedules, determinism."""
+against a pure-Python oracle, corpus encoding, window building, schedules, determinism."""
 
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import center_block_update, fd_gradients, log_sigmoid, neg_pair_loss
+from oracles import (center_block_update, encode_lines, fd_gradients, log_sigmoid,
+                     neg_pair_loss)
 from wikivec.embedding.model import EmbeddingModel, TrainingConfig, init_model
 from wikivec.embedding.train import (
+    _encode,
     _keep_probabilities,
     _line_contexts,
     _train_center,
@@ -176,6 +178,27 @@ def test_sgd_step_is_the_one_row_block():
     assert loss == pytest.approx(want_loss, abs=1e-12)
 
 
+# "\x85" and "\u2028" are whitespace inside a line: only "\n" ends one.
+_ENCODE_ALPHABET = ["a", "b", "é", "ab", "zz", " ", "\t", "\n", "\r", "\x85", "\u2028"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ENCODE_ALPHABET), max_size=40).map("".join))
+@example("")
+@example("\n\n")  # blank lines only
+@example("a b\r\nzz\n\nb\x85a\u2028ab")  # no newline at the end
+@example("zz\na\n\nb")  # the first line has no known token
+def test_encode_matches_the_pure_python_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("encode") / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    index = {"a": 0, "b": 1, "é": 2, "ab": 3}
+    ids, bounds = _encode(path, index)
+    want = encode_lines(text.encode("utf-8"), index)
+    assert ids.dtype == np.int32 and bounds.dtype == np.int64
+    assert ids.tolist() == [i for line in want for i in line]
+    assert bounds.tolist() == np.cumsum([0] + [len(line) for line in want]).tolist()
+
+
 def _reference_contexts(ids, radii):
     """The per-position window loop: left part, then right part, centre ids removed."""
     n = len(ids)
@@ -272,6 +295,29 @@ def test_train_skips_out_of_vocabulary_tokens(tmp_path):
     cfg = TrainingConfig(dim=4, epochs=1, min_count=1, seed=0, subsample_t=0.0)
     model = train(corpus, init_model(vocab, cfg))
     assert np.isfinite(model.input_vectors).all()
+
+
+_FILLER_LINES = ["", "   ", "\r", "mystery", "zz qq\tzz"]  # no in-vocabulary token
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(_FILLER_LINES)), max_size=6))
+@example([(0, "mystery")])  # the first line has no in-vocabulary token
+@example([(0, ""), (40, "zz qq\tzz")])
+def test_lines_without_known_tokens_leave_vectors_unchanged(tmp_path_factory, inserts):
+    tmp_path = tmp_path_factory.mktemp("fillers")
+    corpus = _tiny_corpus(tmp_path)
+    vocab = build_vocab(corpus, min_count=1)
+    cfg = TrainingConfig(dim=8, epochs=2, window=3, negatives=3,
+                         min_count=1, seed=2, subsample_t=0.05)
+    want = train(corpus, init_model(vocab, cfg)).input_vectors
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    for position, filler in sorted(inserts, reverse=True):
+        lines.insert(position, filler)
+    padded = tmp_path / "padded.txt"
+    padded.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = train(padded, init_model(vocab, cfg)).input_vectors
+    assert got.tobytes() == want.tobytes()
 
 
 def test_train_two_workers_smoke(tmp_path):

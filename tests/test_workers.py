@@ -1,5 +1,5 @@
 """Forked workers: task order, the in-process path, failing fast when a worker fails,
-and byte-range shards of a file."""
+token-range shards of the encoded corpus, and workers that never read the corpus file."""
 
 import importlib
 import itertools
@@ -16,7 +16,7 @@ import wikivec.ingest.corpus as corpus
 from wikivec.embedding.model import TrainingConfig, init_model
 from wikivec.embedding.vocab import build_vocab
 from wikivec.ingest.corpus import build_corpus
-from wikivec.workers import WorkerError, fork_map, shard_lines
+from wikivec.workers import WorkerError, fork_map
 
 from conftest import FIXTURE_DUMP
 
@@ -152,29 +152,53 @@ def test_failing_training_worker_fails_fast(tmp_path, monkeypatch, failure, dead
     assert time.perf_counter() - started < 10
 
 
-def _lines(text):
-    """``text`` split after every newline; a last line without one still counts."""
-    parts = text.split("\n")
-    return [part + "\n" for part in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.text(st.sampled_from("ab é\n"), max_size=60))
-@example("")  # an empty file
-@example("x" * 40 + "\nab\n")  # a line longer than any shard
-@example("ab\ncd\nno newline at the end")
-@example("\n\n\n")
-def test_shards_partition_the_lines_in_order(tmp_path_factory, text):
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "é", "oov"]), max_size=8), max_size=12))
+@example([])  # an empty corpus
+@example([["a"] * 40, ["b", "a"]])  # a line longer than any shard
+@example([["oov"], [], ["a", "b"], ["oov", "oov"], ["b"]])  # lines with no known token
+def test_token_range_shards_partition_the_lines_in_order(tmp_path_factory, lines):
     path = tmp_path_factory.mktemp("shards") / "corpus.txt"
-    path.write_bytes(text.encode("utf-8"))
-    lines = _lines(text)
-    starts = np.cumsum([0] + [len(line.encode("utf-8")) for line in lines])[:-1]
-    size = path.stat().st_size
+    path.write_text("".join(" ".join(line) + "\n" for line in lines), encoding="utf-8")
+    index = {"a": 0, "b": 1, "é": 2}
+    ids, bounds = train_mod._encode(path, index)
+    known = [[index[t] for t in line if t in index] for line in lines]
+    assert ids.tolist() == [i for line in known for i in line]
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    assert [b - a for a, b in spans] == [len(line) for line in known if line]
+    total = len(ids)
     for n in range(1, 5):
-        shards = [list(shard_lines(path, worker, n)) for worker in range(n)]
-        # Disjoint and complete: in worker order, the shards are the file's lines.
-        assert [line for shard in shards for line in shard] == lines
-        # And each line went to the worker whose byte range holds its first byte.
-        owners = [worker for worker, shard in enumerate(shards) for _ in shard]
-        for start, worker in zip(starts, owners):
-            assert size * worker // n <= start < size * (worker + 1) // n
+        shards = [train_mod._shard(bounds, worker, n).tolist() for worker in range(n)]
+        owned = [(worker, span) for worker, shard in enumerate(shards)
+                 for span in zip(shard, shard[1:])]
+        # Disjoint and complete: in worker order, the shards are the encoded lines.
+        assert [span for _, span in owned] == spans
+        # And each line went to the worker whose token range holds its first id.
+        for worker, (start, _) in owned:
+            assert total * worker // n <= start < total * (worker + 1) // n
+
+
+def test_training_workers_never_read_the_corpus_file(tmp_path, monkeypatch, deadline):
+    corpus_path = tmp_path / "corpus.txt"
+    rng = np.random.default_rng(1)
+    words = [f"w{i}" for i in range(20)]
+    corpus_path.write_text("".join(" ".join(rng.choice(words, size=10)) + "\n"
+                                   for _ in range(50)), encoding="utf-8")
+    cfg = TrainingConfig(dim=8, epochs=3, window=2, negatives=2, min_count=1, seed=3,
+                         workers=2, subsample_t=0.0)
+    model = init_model(build_vocab(corpus_path, min_count=1), cfg)
+    before = model.input_vectors.copy()
+    real_encode = train_mod._encode
+    calls = []
+
+    def encode(path, index):
+        encoded = real_encode(path, index)
+        calls.append(path)
+        corpus_path.unlink()
+        return encoded
+
+    monkeypatch.setattr(train_mod, "_encode", encode)
+    train_mod.train(corpus_path, model, cfg)
+    assert calls == [corpus_path] and not corpus_path.exists()
+    assert np.isfinite(model.input_vectors).all()
+    assert not np.array_equal(model.input_vectors, before)
