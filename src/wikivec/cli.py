@@ -190,6 +190,13 @@ def _rho_cell(rho: float | None) -> str:
     return "-" if rho is None else f"{rho:.4f}"
 
 
+def _tsv_cell(value: object) -> object:
+    """A report value as a TSV cell: empty when missing or undefined, JSON when nested."""
+    if value is None:
+        return ""
+    return json.dumps(value) if isinstance(value, (dict, list)) else value
+
+
 def _cmd_eval_similarity(options: dict) -> int:
     scorer_kind = options["scorer"]
     if scorer_kind == "linkgraph" and not options["graph"]:
@@ -247,8 +254,7 @@ def _cmd_eval_similarity(options: dict) -> int:
                                  "pairs": rep.pairs_total, "not_found": rep.not_found,
                                  "rho": rep.rho})
     keys = sorted({key for row in rows for key in row})
-    table = [keys, *([json.dumps(row[key]) if isinstance(row.get(key), (dict, list))
-                      else row.get(key, "") for key in keys] for row in rows)]
+    table = [keys, *([_tsv_cell(row.get(key)) for key in keys] for row in rows)]
     _write_report(options, "eval similarity", table, {"rows": rows}, inputs=inputs,
                   started=started)
     return 0

@@ -68,8 +68,7 @@ class EmbeddingModel:
 
     def to_vector_set(self) -> VectorSet:
         """Published embeddings in vocabulary (frequency) order."""
-        return VectorSet(list(self.vocab.tokens), self.input_vectors.copy(),
-                         frequency_ranked=True)
+        return VectorSet(list(self.vocab.tokens), self.input_vectors.copy())
 
 
 def init_model(vocab: Vocabulary, config: TrainingConfig,

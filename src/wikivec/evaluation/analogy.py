@@ -99,8 +99,8 @@ def eval_analogy(vset: VectorSet, questions: Sequence[AnalogyQuestion],
                  buckets: Sequence[int]) -> list[AnalogyReport]:
     """Score the question list under each frequency-cap bucket.
 
-    The cap restricts both the candidate vocabulary and the found test; the
-    vector set must carry frequency ranks.  The one-set case of the commons protocol.
+    The cap restricts both the candidate vocabulary and the found test to the
+    set's first ``cap`` rows.  The one-set case of the commons protocol.
     """
     return eval_analogy_commons([vset], questions, buckets)[0]
 
@@ -111,8 +111,6 @@ def eval_analogy_commons(sets: Sequence[VectorSet], questions: Sequence[AnalogyQ
 
     Returns one report list per input set, aligned with ``sets``.
     """
-    if not all(vset.frequency_ranked for vset in sets):
-        raise ValueError("analogy evaluation needs frequency-ranked vector sets")
     if not sets:
         return []
     if any(cap < 1 for cap in buckets):

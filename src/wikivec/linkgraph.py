@@ -228,6 +228,10 @@ def load_graph(path: str | Path) -> LinkGraph:
     except FileNotFoundError:
         log.warning("graph sidecar %s missing; counts unverified", sidecar_path)
         return graph
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path}: graph sidecar is not valid JSON: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{sidecar_path}: graph sidecar is not a JSON object")
     if (sidecar.get("page_count") != graph.page_count
             or sidecar.get("edge_count") != graph.edge_count):
         raise ValueError(f"{path}: sidecar counts disagree with the adjacency data")

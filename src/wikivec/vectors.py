@@ -2,14 +2,16 @@
 
 Files are UTF-8: an optional ``<count> <dim>`` header line, then one
 ``token v1 v2 ...`` row per vector.  The header variant is auto-detected by
-whether the first line parses as exactly two integers.  Values are written
-with six significant digits; file row order is taken as frequency order
-(rank 0 = first row), which holds for files this package writes and for the
-usual published embedding files.
+whether the first line parses as exactly two integers; files are always written
+with the header, and values with six significant digits.  Row order is
+frequency order (rank 0 = first row): it holds for files this package writes
+and for the usual published embedding files, and every ``VectorSet`` is built
+in that order.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,19 +37,16 @@ class NotInVocabulary(KeyError):
 class VectorSet:
     """Immutable token -> vector mapping with cosine queries.
 
-    ``frequency_ranked`` declares that row order is frequency order, so the
-    first ``cap`` rows are the ``cap`` most frequent tokens.  Sets built ad hoc
-    may leave it False.
+    Row order is frequency order, so the first ``cap`` rows are the ``cap``
+    most frequent tokens.
     """
 
-    def __init__(self, tokens: Sequence[str], matrix: np.ndarray,
-                 frequency_ranked: bool = False) -> None:
+    def __init__(self, tokens: Sequence[str], matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise ValueError("matrix must be 2-D with one row per token")
         self.tokens: tuple[str, ...] = tuple(tokens)
         self.matrix = matrix
-        self.frequency_ranked = frequency_ranked
         self._index: dict[str, int] = {}
         for i, token in enumerate(self.tokens):
             if not token or token.split() != [token]:
@@ -90,13 +89,6 @@ class VectorSet:
             self._unit = self.matrix / safe
             self._zero = ~self.matrix.any(axis=1)
         return self._unit
-
-    def cosine(self, token_a: str, token_b: str) -> float:
-        missing = [t for t in (token_a, token_b) if t not in self._index]
-        if missing:
-            raise NotInVocabulary(missing)
-        rows = self.rows((token_a, token_b))
-        return float(self.pair_cosines(rows[:1], rows[1:])[0])
 
     def pair_cosines(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         """Cosine of each row pair ``(rows_a[i], rows_b[i])``.
@@ -175,19 +167,11 @@ class VectorSet:
         return hits[0][0]
 
 
-def save_text(vset: VectorSet, path: str | Path, header: bool = True) -> None:
-    """Write the text format (six significant digits per value).
-
-    Without the header, a one-value first row whose token is an integer would
-    read back as a ``<count> <dim>`` header, so such a set is refused.
-    """
-    if not header and vset.dim == 1 and len(vset) and _is_int(vset.tokens[0]):
-        raise ValueError(f"{path}: first token {vset.tokens[0]!r} with one value would "
-                         "read back as a '<count> <dim>' header; write the header")
+def save_text(vset: VectorSet, path: str | Path) -> None:
+    """Write the text format: the header, then six significant digits per value."""
     row_format = " ".join(["%.6g"] * vset.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        if header:
-            out.write(f"{len(vset)} {vset.dim}\n")
+        out.write(f"{len(vset)} {vset.dim}\n")
         for token, row in zip(vset.tokens, vset.matrix.tolist()):
             out.write(token + " " + row_format % tuple(row) + "\n")
 
@@ -208,35 +192,48 @@ def _parse_header(line: str) -> tuple[int, int] | None:
 
 
 def load_text(path: str | Path) -> VectorSet:
-    """Read either format variant; row order is taken as frequency order.
+    """Read either format variant; row order is frequency order.
 
-    All values are parsed in one ``np.loadtxt`` call.  A file that call does
-    not read cleanly is read again line by line, which names the first
-    offending line in its error.
+    The file is read once, and all values are parsed in one ``np.loadtxt``
+    call.  If that call fails, or its result fails a shape, count, finiteness
+    or duplicate check, the rows already in memory are parsed one at a time
+    with ``float()``.  That walk either returns the matrix (``float()`` also
+    reads spellings such as ``1_0``) or raises naming the file and the first
+    bad line.
     """
-    parsed = _load_columns(path)
-    tokens, matrix = parsed if parsed is not None else _load_lines(path)
-    return VectorSet(tokens, matrix, frequency_ranked=True)
-
-
-def _load_columns(path: str | Path) -> tuple[list[str], np.ndarray] | None:
-    """Tokens and matrix of a well-formed, non-empty file; None for anything else."""
-    tokens: list[str] = []
-    values: list[str] = []
     declared: tuple[int, int] | None = None
-    with open(path, "r", encoding="utf-8") as handle:
+    linenos: list[int] = []
+    tokens: list[str] = []
+    values: list[str] = []  # each row's value text
+    # Undecodable bytes become lone surrogates, which no valid UTF-8 decodes to.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"{path}: line {lineno}: not UTF-8: byte "
+                                     f"0x{ord(line[exc.start]) - 0xdc00:02x}") from None
             parts = line.split(None, 1)
-            if lineno == 1 and parts:
+            if not parts:
+                continue
+            if lineno == 1:
                 declared = _parse_header(line)
                 if declared is not None:
                     continue
-            if len(parts) == 1:
-                return None
-            if parts:
-                tokens.append(parts[0])
-                values.append(parts[1])
-    if not tokens:
+            linenos.append(lineno)
+            tokens.append(parts[0])
+            values.append(parts[1] if len(parts) == 2 else "")
+    matrix = _parse_columns(tokens, values, declared)
+    if matrix is None:
+        matrix = _parse_rows(path, linenos, tokens, values, declared)
+    return VectorSet(tokens, matrix)
+
+
+def _parse_columns(tokens: Sequence[str], values: Sequence[str],
+                   declared: tuple[int, int] | None) -> np.ndarray | None:
+    """The matrix from one ``np.loadtxt`` call; None unless every check passes."""
+    if not values or "" in values:
         return None
     try:
         matrix = np.loadtxt(values, comments=None, ndmin=2)
@@ -247,50 +244,37 @@ def _load_columns(path: str | Path) -> tuple[list[str], np.ndarray] | None:
             or (declared is not None and declared[0] != len(tokens))
             or not np.isfinite(matrix).all() or len(set(tokens)) != len(tokens)):
         return None
-    return tokens, matrix
+    return matrix
 
 
-def _load_lines(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Read one line at a time; raises naming the first bad line."""
-    tokens: list[str] = []
-    rows: list[np.ndarray] = []
-    declared: tuple[int, int] | None = None
-    dim: int | None = None
+def _parse_rows(path: str | Path, linenos: Sequence[int], tokens: Sequence[str],
+                values: Sequence[str], declared: tuple[int, int] | None) -> np.ndarray:
+    """Parse one row at a time; raises naming the first bad line."""
+    dim = None if declared is None else declared[1]
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if lineno == 1:
-                declared = _parse_header(line)
-                if declared is not None:
-                    dim = declared[1]
-                    continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ValueError(f"{path}: line {lineno}: no vector values")
-            if len(values) != dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} values, found {len(values)}")
-            if token in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
-            seen.add(token)
-            tokens.append(token)
-            try:
-                row = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad float: {exc}") from None
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite value (nan or inf)")
-            rows.append(row)
+    parsed: list[list[float]] = []
+    for lineno, token, text in zip(linenos, tokens, values):
+        fields = text.split()
+        if dim is None:
+            dim = len(fields)
+            if dim == 0:
+                raise ValueError(f"{path}: line {lineno}: no vector values")
+        if len(fields) != dim:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {dim} values, found {len(fields)}")
+        if token in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
+        seen.add(token)
+        try:
+            row = [float(v) for v in fields]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad float: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+        parsed.append(row)
     if declared is not None and declared[0] != len(tokens):
         raise ValueError(
             f"{path}: header declares {declared[0]} vectors, file has {len(tokens)}")
     if dim is None:
         raise ValueError(f"{path}: empty vector file")
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim))
-    return tokens, matrix
+    return np.array(parsed, dtype=np.float64).reshape(len(parsed), dim)

@@ -291,8 +291,8 @@ def test_criterion_07_analogy_bookkeeping():
         matrix_a = rng.normal(size=(30, 6))
         matrix_b = rng.normal(size=(30, 6))
         matrix_a[rng.integers(0, 30)] = 0.0  # keep a zero row in play
-        set_a = VectorSet(tokens, matrix_a, frequency_ranked=True)
-        set_b = VectorSet(tokens, matrix_b, frequency_ranked=True)
+        set_a = VectorSet(tokens, matrix_a)
+        set_b = VectorSet(tokens, matrix_b)
         questions = []
         for _ in range(15):
             # Tokens w30..w34 do not exist, so some questions are never found.
@@ -403,7 +403,7 @@ def test_criterion_10_format_interop(tmp_path):
     model = train(corpus, init_model(vocab, config), config)
 
     with_header = tmp_path / "with_header.txt"
-    save_text(model.to_vector_set(), with_header, header=True)
+    save_text(model.to_vector_set(), with_header)
     loaded_header = load_text(with_header)
 
     headerless = tmp_path / "headerless.txt"

@@ -42,7 +42,7 @@ def _quad_set():
         [0.0, 1.0, 0.0, 1.0],   # prince = boy + royal
         [0.3, 0.3, 0.3, 0.3],
     ])
-    return VectorSet(tokens, matrix, frequency_ranked=True)
+    return VectorSet(tokens, matrix)
 
 
 def test_eval_analogy_counts_and_accuracy():
@@ -73,7 +73,7 @@ def test_correctness_matches_brute_force_oracle():
     tokens = [f"w{i}" for i in range(12)]
     for _ in range(30):
         matrix = rng.normal(size=(12, 4))
-        vset = VectorSet(tokens, matrix, frequency_ranked=True)
+        vset = VectorSet(tokens, matrix)
         questions = []
         for _ in range(8):
             a, b, c, d = rng.choice(12, size=4, replace=False)
@@ -92,7 +92,7 @@ def test_eval_analogy_matches_oracle_across_tiles_and_caps(monkeypatch):
     for _ in range(10):
         matrix = rng.normal(size=(30, 5))
         matrix[rng.choice(30, size=3, replace=False)] = 0.0
-        vset = VectorSet(tokens, matrix, frequency_ranked=True)
+        vset = VectorSet(tokens, matrix)
         questions = [AnalogyQuestion(*(tokens[i] for i in rng.choice(30, 4, replace=False)))
                      for _ in range(40)]
         caps = [5, 13, 30, 99]
@@ -108,7 +108,7 @@ def test_analogy_query_agrees_with_eval_analogy_question_by_question(monkeypatch
     rng = np.random.default_rng(31)
     tokens = [f"w{i}" for i in range(20)]
     for _ in range(15):
-        vset = VectorSet(tokens, rng.normal(size=(20, 3)), frequency_ranked=True)
+        vset = VectorSet(tokens, rng.normal(size=(20, 3)))
         a, b, c = (tokens[i] for i in rng.choice(20, 3, replace=False))
         # One question per candidate d: exactly the predicted one is correct.
         answer = vset.analogy_query(a, b, c)
@@ -152,7 +152,7 @@ def test_prediction_tie_breaks_toward_earlier_token():
         [2.0, 1.0],
     ])
     tokens = ["a", "b", "c", "d_first", "d_second"]
-    vset = VectorSet(tokens, matrix, frequency_ranked=True)
+    vset = VectorSet(tokens, matrix)
     hit = eval_analogy(vset, [AnalogyQuestion("a", "b", "c", "d_first")], [5])[0]
     miss = eval_analogy(vset, [AnalogyQuestion("a", "b", "c", "d_second")], [5])[0]
     assert (hit.found, hit.correct) == (1, 1)
@@ -167,7 +167,7 @@ def test_zero_offset_is_found_but_incorrect():
         [-1.0, 0.0],
         [0.5, 0.5],
     ])
-    vset = VectorSet(["a", "b", "c", "d"], matrix, frequency_ranked=True)
+    vset = VectorSet(["a", "b", "c", "d"], matrix)
     (report,) = eval_analogy(vset, [AnalogyQuestion("a", "b", "c", "d")], [4])
     assert (report.found, report.correct) == (1, 0)
 
@@ -180,7 +180,7 @@ def test_all_candidates_masked_is_found_but_incorrect():
         [1.0, 1.0],
         [0.0, 0.0],
     ])
-    vset = VectorSet(["a", "b", "c", "d"], matrix, frequency_ranked=True)
+    vset = VectorSet(["a", "b", "c", "d"], matrix)
     (report,) = eval_analogy(vset, [AnalogyQuestion("a", "b", "c", "d")], [4])
     assert (report.found, report.correct) == (1, 0)
 
@@ -193,10 +193,7 @@ def test_accuracy_none_when_nothing_found():
     assert AnalogyReport(bucket=1, found=4, correct=3).accuracy == 0.75
 
 
-def test_eval_analogy_requires_ranked_set_and_positive_caps():
-    unranked = VectorSet(["a", "b"], np.eye(2))
-    with pytest.raises(ValueError, match="frequency-ranked"):
-        eval_analogy(unranked, [], [1])
+def test_eval_analogy_requires_positive_caps():
     with pytest.raises(ValueError, match="caps"):
         eval_analogy(_quad_set(), [], [0])
 
@@ -207,7 +204,6 @@ def test_commons_scores_shared_questions_only():
     small = VectorSet(
         ["man", "king", "woman", "queen"],
         big.matrix[:4].copy(),
-        frequency_ranked=True,
     )
     questions = [
         AnalogyQuestion("man", "king", "woman", "queen"),

@@ -177,8 +177,7 @@ def test_analogy_command_prints_answer(tmp_path, capsys):
     path = tmp_path / "quads.txt"
     save_text(VectorSet(
         ["man", "king", "woman", "queen"],
-        np.array([[1.0, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]]),
-        frequency_ranked=True), path)
+        np.array([[1.0, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]])), path)
     code, stdout, _ = run_cli(capsys, "analogy", "--vectors", path,
                               "--a", "man", "--b", "king", "--c", "woman")
     assert code == 0
@@ -194,8 +193,7 @@ def quad_vectors(tmp_path):
     save_text(VectorSet(
         ["man", "king", "woman", "queen", "boy", "prince"],
         np.array([[1.0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
-                  [0, 1, 1, 0], [0, 0, 0, 1], [0, 1, 0, 1]]),
-        frequency_ranked=True), path)
+                  [0, 1, 1, 0], [0, 0, 0, 1], [0, 1, 0, 1]])), path)
     questions = tmp_path / "questions.txt"
     questions.write_text(
         ": people\nman king woman queen\nman king boy prince\n", encoding="utf-8")
@@ -284,8 +282,7 @@ def sim_setup(tmp_path):
     save_text(VectorSet(
         ["wiki_1", "wiki_2", "tiger", "cat", "book", "paper"],
         np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.4, 0.6],
-                  [1.0, 1.0], [-1.0, 0.2]]),
-        frequency_ranked=True), vectors)
+                  [1.0, 1.0], [-1.0, 0.2]])), vectors)
     senses = tmp_path / "senses.tsv"
     senses.write_text("paris\t1\t3\nfrance\t2\t2\n", encoding="utf-8")
     pairs = tmp_path / "pairs.csv"
@@ -429,6 +426,19 @@ def test_eval_similarity_undefined_rho_is_null_not_nan(sim_setup, tmp_path, caps
     assert code == 0
     assert stdout.strip().split("\n")[2].split("\t") == ["link_flat", "2", "0", "-"]
     assert [row["rho"] for row in _strict_json(tmp_path / "link.json")["rows"]] == [None]
+
+
+def test_eval_similarity_tsv_leaves_an_undefined_rho_empty(sim_setup, tmp_path, capsys):
+    vectors, senses, _ = sim_setup
+    named = tmp_path / "v.txt"
+    named.write_bytes(vectors.read_bytes())
+    flat = tmp_path / "p.csv"
+    flat.write_text("tiger,cat,5\nbook,paper,5\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "eval", "similarity", "--vectors", named, "--pairs", flat,
+                         "--sense-index", senses, "--out", tmp_path / "report")
+    assert code == 0
+    assert (tmp_path / "report.tsv").read_text(encoding="utf-8").splitlines() == [
+        "dataset\tnot_found\tpairs\trho\tset", "p\t0\t2\t\tv"]
 
 
 def test_common_subset_averages_only_defined_rhos(sim_setup, tmp_path, capsys):

@@ -169,6 +169,21 @@ def test_load_detects_sidecar_mismatch(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "graph sidecar is not valid JSON"),
+    ("{bad", "graph sidecar is not valid JSON"),
+    ("[]", "graph sidecar is not a JSON object"),
+])
+def test_malformed_sidecar_fails_naming_the_sidecar(tmp_path, text, message):
+    path = tmp_path / "graph.npz"
+    save_graph(_triangle(), path)
+    sidecar = tmp_path / "graph.npz.json"
+    sidecar.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_graph(path)
+    assert str(raised.value).startswith(f"{sidecar}: {message}")
+
+
 def test_load_without_sidecar_warns_but_works(tmp_path, caplog):
     path = tmp_path / "graph.npz"
     save_graph(_triangle(), path)

@@ -94,7 +94,6 @@ def test_to_vector_set_is_a_frequency_ranked_copy():
     model = init_model(_vocab("b", "a"), TrainingConfig(dim=2, seed=5))
     vset = model.to_vector_set()
     assert list(vset.tokens) == ["b", "a"]
-    assert vset.frequency_ranked
     assert np.array_equal(vset.matrix, model.input_vectors)
     vset.matrix[0, 0] = 99.0
     assert model.input_vectors[0, 0] != 99.0

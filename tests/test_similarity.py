@@ -262,7 +262,7 @@ def test_equal_pairs_score_bit_equal_and_rho_matches_the_oracle(dim):
     by_pair = {}
     for a, b, score in zip(first.tolist(), second.tolist(), scores.tolist()):
         assert by_pair.setdefault((min(a, b), max(a, b)), score) == score
-    assert vset.cosine("t0", "t1") == vset.pair_cosines(np.array([1]), np.array([0]))[0]
+    assert vset.pair_cosines(first[:1], second[:1])[0] == scores[0]
 
     pairs = _dataset(*((tokens[a], tokens[b], h)
                        for a, b, h in zip(first.tolist(), second.tolist(), human)))

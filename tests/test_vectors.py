@@ -1,7 +1,7 @@
 """VectorSet queries and the text interchange format."""
 
 import math
-import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import read_vector_text, top_k_cosine
 from wikivec import vectors
-from wikivec.evaluation.analogy import eval_analogy, eval_analogy_commons
 from wikivec.vectors import NotInVocabulary, VectorSet, load_text, save_text
 
 
-def _basis_set(frequency_ranked=False):
+def _basis_set():
     return VectorSet(
         ["east", "north", "up", "northeast", "origin"],
         np.array([
@@ -23,7 +22,6 @@ def _basis_set(frequency_ranked=False):
             [1.0, 1.0, 0.0],
             [0.0, 0.0, 0.0],
         ]),
-        frequency_ranked=frequency_ranked,
     )
 
 
@@ -54,11 +52,13 @@ def test_lookup_and_membership():
 
 def test_cosine_hand_values():
     vset = _basis_set()
-    assert vset.cosine("east", "north") == pytest.approx(0.0, abs=1e-15)
-    assert vset.cosine("east", "east") == pytest.approx(1.0, abs=1e-15)
-    assert vset.cosine("east", "northeast") == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    first, second = zip(("east", "north"), ("east", "east"), ("east", "northeast"),
+                        ("origin", "east"))
+    got = vset.pair_cosines(vset.rows(first), vset.rows(second))
+    assert got[:2] == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert got[2] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     # Zero-norm rows normalise to zero rather than NaN.
-    assert vset.cosine("origin", "east") == 0.0
+    assert got[3] == 0.0
 
 
 def test_nearest_ranks_and_skips_zero_rows():
@@ -99,16 +99,6 @@ def test_analogy_query_excludes_inputs():
     assert vset.analogy_query("man", "king", "woman") == "queen"
     with pytest.raises(NotInVocabulary):
         vset.analogy_query("man", "king", "princess")
-
-
-def test_frequency_ranked_guards_analogy_evaluation():
-    plain = _basis_set(frequency_ranked=False)
-    ranked = _basis_set(frequency_ranked=True)
-    assert not plain.frequency_ranked
-    with pytest.raises(ValueError, match="frequency"):
-        eval_analogy(plain, [], [3])
-    with pytest.raises(ValueError, match="frequency"):
-        eval_analogy_commons([ranked, plain], [], [3])
 
 
 @pytest.fixture()
@@ -184,31 +174,31 @@ def test_nearest_matches_the_brute_force_oracle(small_tiles):
 
 
 def test_save_load_round_trip_with_header(tmp_path):
-    vset = _basis_set(frequency_ranked=True)
+    vset = _basis_set()
     path = tmp_path / "vecs.txt"
     save_text(vset, path)
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first == "5 3"
     loaded = load_text(path)
     assert loaded.tokens == vset.tokens
-    assert loaded.frequency_ranked
     assert np.array_equal(loaded.matrix, vset.matrix)
 
 
 def test_save_load_round_trip_without_header(tmp_path):
-    vset = _basis_set()
     path = tmp_path / "vecs.txt"
-    save_text(vset, path, header=False)
+    save_text(_basis_set(), path)
+    path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    assert path.read_text(encoding="utf-8").startswith("east 1 0 0\n")
     loaded = load_text(path)
-    assert loaded.tokens == vset.tokens
-    assert np.array_equal(loaded.matrix, vset.matrix)
+    assert loaded.tokens == _basis_set().tokens
+    assert np.array_equal(loaded.matrix, _basis_set().matrix)
 
 
 def test_values_written_with_six_significant_digits(tmp_path):
     vset = VectorSet(["pi"], np.array([[3.14159265358979, -0.000123456789]]))
     path = tmp_path / "pi.txt"
-    save_text(vset, path, header=False)
-    assert path.read_text(encoding="utf-8") == "pi 3.14159 -0.000123457\n"
+    save_text(vset, path)
+    assert path.read_text(encoding="utf-8") == "1 2\npi 3.14159 -0.000123457\n"
 
 
 def test_six_digit_format_is_idempotent_after_first_quantisation(tmp_path):
@@ -299,25 +289,25 @@ def _is_int(text):
 
 
 @settings(max_examples=60, deadline=None)
-@given(vector_sets(), st.booleans())
-@example(VectorSet(["12"], np.array([[3.0]])), False)
-def test_save_load_keeps_tokens_and_six_digit_values(tmp_path_factory, vset, header):
+@given(vector_sets())
+@example(VectorSet(["12"], np.array([[3.0]])))
+def test_save_load_keeps_tokens_and_six_digit_values(tmp_path_factory, vset):
     folder = tmp_path_factory.mktemp("roundtrip")
     first, second = folder / "first.txt", folder / "second.txt"
-    if not header and vset.dim == 1 and _is_int(vset.tokens[0]):
-        # Its first row would read back as a header: refused, nothing written.
-        with pytest.raises(ValueError, match=re.escape(repr(vset.tokens[0]))):
-            save_text(vset, first, header=header)
-        assert not first.exists()
-        return
-    save_text(vset, first, header=header)
+    save_text(vset, first)
     loaded = load_text(first)
     assert loaded.tokens == vset.tokens
     want = [[float(f"{x:.6g}") for x in row] for row in vset.matrix.tolist()]
     assert loaded.matrix.tolist() == want
     assert read_vector_text(first) == (list(vset.tokens), want)
-    save_text(loaded, second, header=header)
+    save_text(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+    # The same rows without the header, unless the first would read as one.
+    if vset.dim != 1 or not _is_int(vset.tokens[0]):
+        headerless = folder / "headerless.txt"
+        headerless.write_bytes(first.read_bytes().split(b"\n", 1)[1])
+        plain = load_text(headerless)
+        assert (plain.tokens, plain.matrix.tolist()) == (vset.tokens, want)
 
 
 @st.composite
@@ -382,6 +372,7 @@ def test_load_matches_the_reference_on_edge_files(tmp_path, text):
     ("3 2\na 1 2\n", "header declares 3 vectors, file has 1"),
     ("1 2\na 1 2\nb 3 4\n", "header declares 1 vectors, file has 2"),
     ("\n  \n", "empty vector file"),
+    ("2 3\n", "header declares 2 vectors, file has 0"),
 ])
 def test_malformed_files_raise_the_line_by_line_message(tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -391,12 +382,53 @@ def test_malformed_files_raise_the_line_by_line_message(tmp_path, text, message)
     assert str(err.value) == f"{path}: {message}"
 
 
-def test_well_formed_files_skip_the_line_by_line_reader(tmp_path, monkeypatch):
-    def fail(path):
-        raise AssertionError("line-by-line reader used on a well-formed file")
+def test_a_header_only_file_loads_as_an_empty_set(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 3\n", encoding="utf-8")
+    loaded = load_text(path)
+    assert len(loaded) == 0
+    assert loaded.dim == 3
 
-    monkeypatch.setattr(vectors, "_load_lines", fail)
-    for header in (True, False):
-        path = tmp_path / f"vecs-{header}.txt"
-        save_text(_basis_set(), path, header=header)
-        assert load_text(path).tokens == _basis_set().tokens
+
+def test_a_token_without_values_warns_nothing(tmp_path):
+    path = tmp_path / "bare.txt"
+    path.write_text("a\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="line 1: no vector values"):
+            load_text(path)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"a 1 2\nb\xff 3 4\n", 2),
+    (b"\xfe\n", 1),
+    (b"a 1\r\nb 2\rc\xc3 3\n", 3),
+])
+def test_a_file_that_is_not_utf8_fails_naming_the_file_and_line(tmp_path, data, line):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        load_text(path)
+    assert str(err.value).startswith(f"{path}: line {line}: not UTF-8: ")
+
+
+def test_each_load_opens_the_file_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(vectors, "open", counting_open, raising=False)
+    well_formed = tmp_path / "vecs.txt"
+    save_text(_basis_set(), well_formed)
+    opened.clear()
+    assert load_text(well_formed).tokens == _basis_set().tokens
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("a 1 2 3\nb 1 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2"):
+        load_text(ragged)
+    edge = tmp_path / "edge.txt"
+    edge.write_text("a 1_0 2\nb 3 4\n", encoding="utf-8")
+    assert load_text(edge).matrix.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+    assert opened == [well_formed, ragged, edge]
